@@ -7,21 +7,19 @@ coefficients, with rational-series recognition of the Betti numbers.
 """
 
 from .algebra import (ColorLieAlgebra, CommutationMatrix, GradingAssignment,
-                      associated_abelian, derived_dimension, find_grading,
-                      full_bracket, is_injective, jacobi_defect,
-                      two_component_reduction, validate_commutation)
+                      find_grading)
 from .cohomology import (BettiTable, CohomologyClass, betti,
                          betti_from_differential, cup_product,
                          h1_dimension_check, representatives,
                          representatives_from_differential)
-from .differential import (Differential, apply_differential, check_d_squared,
-                           differential_from_brackets, differential_matrix)
+from .differential import (Differential, check_d_squared,
+                           differential_from_brackets)
 from .dual import (DgaElement, SignAlgebra, dual_of, enveloping_sign_algebra,
                    hilbert_series, monomial_basis, multiply, quadratic_dual)
 from .linalg import ExactMatrix, bareiss_rank, image_basis, rank, rank_kernel
 from .pbw import (QuadLinRelation, groebner_check, normal_words, reduce_word,
                   uea_relations)
 from .scalars import Scalar, parse_scalar, scalar_simplify
-from .series import RationalSeries, abelian_closed_form, expand, recognize
+from .series import RationalSeries, abelian_closed_form, recognize
 
 __version__ = "0.1.0"

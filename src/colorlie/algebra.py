@@ -60,14 +60,6 @@ class CommutationMatrix:
         return "CommutationMatrix(%r)" % (self.s,)
 
 
-def validate_commutation(cm):
-    return cm.validate()
-
-
-def is_injective(cm):
-    return cm.is_injective()
-
-
 def _solve_gf2(equations, nvars):
     """Solve a linear system over GF(2); equations are (coeff_row, rhs)."""
     rows = [(list(c), r) for c, r in equations]
@@ -395,22 +387,3 @@ class ColorLieAlgebra:
             grading = GradingAssignment([self.grading.degrees[i] for i in indices])
         return ColorLieAlgebra(cm, brackets, grading=grading)
 
-
-def derived_dimension(g):
-    return g.derived_dimension()[0]
-
-
-def jacobi_defect(g):
-    return g.jacobi_defect()
-
-
-def full_bracket(g, i, j):
-    return g.full_bracket(i, j)
-
-
-def associated_abelian(g):
-    return g.associated_abelian()
-
-
-def two_component_reduction(g):
-    return g.two_component_reduction()

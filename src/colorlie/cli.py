@@ -84,13 +84,29 @@ def _build_parser():
 
 
 def _load(args):
-    g, file_param = parse_algebra_file(args.path)
-    param = args.param if args.param is not None else file_param
+    g, param = parse_algebra_file(args.path)
+    has_param = any(c.depends_on_param()
+                    for vec in g.brackets.values() for c in vec)
+    if args.param is not None:
+        if not has_param:
+            raise ValueError("--param given, but the algebra has no parameter")
+        param = args.param
     if param is not None and param != catalog.GENERIC:
-        param = Fraction(param)
-        if any(c.depends_on_param() for vec in g.brackets.values() for c in vec):
+        try:
+            param = Fraction(param)
+        except ZeroDivisionError:
+            raise ValueError("--param %s has a zero denominator"
+                             % param) from None
+        if has_param:
             g = g.substitute(param)
     return g, param
+
+
+def _max_degree(args):
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be non-negative, got %d"
+                         % args.max_degree)
+    return args.max_degree
 
 
 def cmd_check(args, out):
@@ -152,17 +168,18 @@ def _row_data(table1_id, mu):
 
 
 def cmd_cohomology(args, out):
+    nmax = _max_degree(args)
     g, param = _load(args)
     report = g.validate()
     if not report.ok:
         print("invalid algebra: %s" % report, file=out)
         return 1
-    d, h, rec = _betti_and_series(g, args.max_degree)
+    d, h, rec = _betti_and_series(g, nmax)
     print("parameter: %s" % ("none" if param is None else param), file=out)
     print("betti: %s" % " ".join(str(x) for x in h), file=out)
     print("series: %s" % (rec if rec is not None else "inconclusive"), file=out)
     if args.representatives:
-        for n in range(args.max_degree + 1):
+        for n in range(nmax + 1):
             reps = representatives_from_differential(d, n)
             if reps:
                 print("H^%d: %s" % (n, "; ".join(str(c.representative)
@@ -273,7 +290,7 @@ def _param_str(mu):
 
 
 def cmd_table(args, out):
-    nmax = args.max_degree
+    nmax = _max_degree(args)
     rows = _table_rows(nmax)
     passed = sum(1 for r in rows if r["verdict"] == "PASS")
     if args.format == "json":

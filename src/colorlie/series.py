@@ -80,10 +80,6 @@ class RationalSeries:
     __repr__ = __str__
 
 
-def expand(rs, nterms):
-    return rs.expand(nterms)
-
-
 def abelian_closed_form(n, q):
     """Poincare series (1+z)^(n-q) / (1-z)^q of an abelian color Lie algebra
     with q square relations among n generators."""

@@ -56,6 +56,29 @@ def test_missing_file_exit_code(tmp_path):
     assert cli.main(["check", str(tmp_path / "absent.txt")]) == 2
 
 
+def test_cohomology_negative_max_degree_exit_code(tmp_path, capsys):
+    path = write_algebra(tmp_path, catalog.load(3))
+    code, out = run(["cohomology", path, "--max-degree", "-1"], tmp_path, capsys)
+    assert code == 2 and out == ""
+
+
+def test_table_negative_max_degree_exit_code(tmp_path, capsys):
+    code, out = run(["table", "--max-degree", "-1"], tmp_path, capsys)
+    assert code == 2 and out == ""
+
+
+def test_param_zero_denominator_exit_code(tmp_path, capsys):
+    path = write_algebra(tmp_path, catalog.load(10))
+    code, out = run(["cohomology", path, "--param", "1/0"], tmp_path, capsys)
+    assert code == 2 and out == ""
+
+
+def test_param_on_parameter_free_algebra_exit_code(tmp_path, capsys):
+    path = write_algebra(tmp_path, catalog.load(3))
+    code, out = run(["cohomology", path, "--param", "3"], tmp_path, capsys)
+    assert code == 2 and out == ""
+
+
 def test_cohomology_case5(tmp_path, capsys):
     path = write_algebra(tmp_path, catalog.load(5))
     code, out = run(["cohomology", path, "--max-degree", "4"], tmp_path, capsys)

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 
+from conftest import COEFF_POOL
+from letterwise import letterwise_apply, word
+
 from colorlie import catalog
-from colorlie.algebra import ColorLieAlgebra
-from colorlie.differential import (check_d_squared, differential_from_brackets,
-                                   differential_matrix)
+from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
+from colorlie.differential import (Differential, check_d_squared,
+                                   differential_from_brackets)
 from colorlie.dual import DgaElement, monomial_basis, multiply
 from colorlie.linalg import rank
-from colorlie.scalars import ONE, T, ZERO
+from colorlie.scalars import ONE, T, ZERO, Scalar
 
 
 def mono(alg, *exps):
@@ -56,20 +59,20 @@ def test_apply_unit_is_zero():
 
 def test_matrix_case3_rank3():
     d = differential_from_brackets(catalog.load(3))
-    dm = differential_matrix(d, 1)
+    dm = d.matrix(1)
     assert dm.matrix.rows == 3 and dm.matrix.cols == 3
     assert rank(dm.matrix) == 3
 
 
 def test_matrix_case8_degree2_rank1():
     d = differential_from_brackets(catalog.load(8))
-    assert rank(differential_matrix(d, 2).matrix) == 1
+    assert rank(d.matrix(2).matrix) == 1
 
 
 def test_image_case5_is_f1f2_line():
     from colorlie.linalg import image_basis
     d = differential_from_brackets(catalog.load(5))
-    dm = differential_matrix(d, 1)
+    dm = d.matrix(1)
     basis = image_basis(dm.matrix)
     assert len(basis) == 1
     support = [m for m, x in zip(dm.row_basis, basis[0]) if not x.is_zero()]
@@ -105,25 +108,72 @@ def test_d_squared_iff_jacobi_on_perturbations(perturbations):
         assert check_d_squared(d, 8) == (g.jacobi_defect() == []), g.brackets
 
 
+def _assert_closed_form_matches_letterwise(d, nmax, label):
+    for deg in range(nmax + 1):
+        for m in monomial_basis(d.algebra, deg):
+            assert d.apply_monomial(m).coeffs == letterwise_apply(d, m), \
+                (label, m)
+
+
+def test_closed_form_matches_letterwise_catalog():
+    for i in catalog.ALL_IDS:
+        for mu in catalog.parameter_samples(i):
+            g = catalog.load(i, catalog.engine_parameter(mu))
+            d = differential_from_brackets(g)
+            _assert_closed_form_matches_letterwise(d, 16, (i, mu))
+
+
+def test_closed_form_matches_letterwise_abelian_family():
+    for g, _ in catalog.abelian_family():
+        d = differential_from_brackets(g)
+        _assert_closed_form_matches_letterwise(d, 16, g.cm)
+
+
+def test_closed_form_matches_letterwise_on_perturbations(perturbations):
+    for g in perturbations:
+        d = differential_from_brackets(g)
+        _assert_closed_form_matches_letterwise(d, 10, g.brackets)
+
+
+def test_closed_form_matches_letterwise_off_grading():
+    """Brackets on every slot, grading or not.  Grading-compatible brackets
+    give rho = +1 whenever a_k >= 2, so only these reach [a]_{-1} = a mod 2."""
+    rng = random.Random(5)
+    for i in catalog.ALL_IDS:
+        cm = CommutationMatrix(catalog.entry(i).signs)
+        for _ in range(3):
+            brackets = {
+                (a, b): tuple(Scalar.from_fraction(rng.choice(COEFF_POOL))
+                              for _ in range(cm.n))
+                for a in range(cm.n) for b in range(a, cm.n)}
+            d = differential_from_brackets(ColorLieAlgebra(cm, brackets))
+            _assert_closed_form_matches_letterwise(d, 10, (i, brackets))
+
+
 def test_leibniz_contract_on_word_splits():
     """d(x*y) = d(x)*y + sum_k eps(x, f_k) x*partial_k(y) whenever the
-    concatenation of x and y is already in ascending order."""
+    concatenation of x and y is already in ascending order; partial_k is the
+    differential whose only nonzero generator image is d f_k."""
     rng = random.Random(31)
     for i in catalog.ALL_IDS:
         mu = Fraction(-3) if catalog.entry(i).parameterized else None
         g = catalog.load(i, mu)
         d = differential_from_brackets(g)
         alg = d.algebra
+        partials = [
+            Differential(alg, g.cm, [el if j == k else DgaElement(alg)
+                                     for j, el in enumerate(d.on_generators)])
+            for k in range(alg.n)]
         monos = [m for deg in range(1, 6) for m in monomial_basis(alg, deg)]
         for _ in range(35):
             m = rng.choice(monos)
-            word = d._word(m)
-            cut = rng.randrange(len(word) + 1)
+            w = word(m)
+            cut = rng.randrange(len(w) + 1)
             x = [0] * alg.n
-            for l in word[:cut]:
+            for l in w[:cut]:
                 x[l] += 1
             y = [0] * alg.n
-            for l in word[cut:]:
+            for l in w[cut:]:
                 y[l] += 1
             x, y = tuple(x), tuple(y)
             xe, ye = DgaElement(alg, {x: ONE}), DgaElement(alg, {y: ONE})
@@ -134,7 +184,7 @@ def test_leibniz_contract_on_word_splits():
                 for l in range(alg.n):
                     if x[l] % 2 and g.cm.s[l][k] == -1:
                         sign = -sign
-                part = multiply(xe, d.partial(ye, k))
+                part = multiply(xe, partials[k].apply(ye))
                 rhs = rhs + (part if sign == 1 else -part)
             assert lhs == rhs, (i, m, cut)
 

@@ -1,7 +1,6 @@
 import pytest
 
-from colorlie.series import (RationalSeries, abelian_closed_form, expand,
-                             recognize)
+from colorlie.series import RationalSeries, abelian_closed_form, recognize
 
 
 def test_recognize_one_plus_z_over_one_minus_z():
@@ -51,10 +50,10 @@ def test_abelian_closed_form_values():
 
 
 def test_expand_examples():
-    assert expand(RationalSeries([1, 1], [1, -1]), 4) == [1, 2, 2, 2, 2]
-    assert expand(RationalSeries([1, 1], [1, 0, 0, -1]), 7) == \
+    assert RationalSeries([1, 1], [1, -1]).expand(4) == [1, 2, 2, 2, 2]
+    assert RationalSeries([1, 1], [1, 0, 0, -1]).expand(7) == \
         [1, 1, 0, 1, 1, 0, 1, 1]
-    assert expand(RationalSeries.polynomial([1, 0, 0, 1]), 4) == [1, 0, 0, 1, 0]
+    assert RationalSeries.polynomial([1, 0, 0, 1]).expand(4) == [1, 0, 0, 1, 0]
 
 
 def test_expand_recognize_round_trip():
