@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .linalg import ExactMatrix, FIELD_Q, FIELD_QT
+from .linalg import echelon_span
 from .scalars import Scalar, ZERO, scalar_simplify
 
 
@@ -299,13 +299,8 @@ class ColorLieAlgebra:
 
     def derived_dimension(self):
         """Dimension and echelon basis of [g, g]."""
-        vecs = [self.full_bracket(i, j) for (i, j) in self.brackets]
-        if not vecs:
-            return 0, []
-        field = FIELD_QT if self.has_parameter() else FIELD_Q
-        m = ExactMatrix.from_rows(vecs, field=field)
-        from .linalg import echelon_span
-        basis = echelon_span(m.data, self.n)
+        basis = echelon_span({k: c for k, c in enumerate(self.full_bracket(i, j))
+                              if c} for (i, j) in self.brackets)
         return len(basis), basis
 
     def associated_abelian(self):

@@ -18,7 +18,7 @@ from .differential import differential_from_brackets
 from .dual import dual_of, enveloping_sign_algebra, hilbert_series, monomial_basis
 from .files import AlgebraFileError, parse_algebra_file
 from .pbw import groebner_check, uea_relations, word_str
-from .series import recognize
+from .series import abelian_closed_form, recognize
 
 SERIES_TERMS = 40  # recognition window; Betti display defaults to 12
 
@@ -61,44 +61,43 @@ def _build_parser():
         p = sub.add_parser(name)
         if path:
             p.add_argument("path")
-        p.add_argument("--max-degree", type=int, default=12, dest="max_degree")
-        p.add_argument("--param", default=None)
-        p.add_argument("--representatives", action="store_true")
-        p.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text", dest="format")
+            p.add_argument("--param", default=None)
         p.add_argument("--out", default=None)
         p.set_defaults(func=func)
         return p
 
     add("check", cmd_check)
-    add("cohomology", cmd_cohomology)
+    p = add("cohomology", cmd_cohomology)
+    p.add_argument("--max-degree", type=int, default=12, dest="max_degree")
+    p.add_argument("--representatives", action="store_true")
     add("dual", cmd_dual)
     add("hilbert", cmd_hilbert)
     add("pbw", cmd_pbw)
-    add("table", cmd_table, path=False)
-    p = sub.add_parser("series")
+    p = add("table", cmd_table, path=False)
+    p.add_argument("--max-degree", type=int, default=12, dest="max_degree")
+    p.add_argument("--format", choices=("text", "csv", "json"),
+                   default="text", dest="format")
+    p = add("series", cmd_series, path=False)
     p.add_argument("terms", nargs="+")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_series)
     return parser
 
 
 def _load(args):
     g, param = parse_algebra_file(args.path)
-    has_param = any(c.depends_on_param()
-                    for vec in g.brackets.values() for c in vec)
     if args.param is not None:
-        if not has_param:
-            raise ValueError("--param given, but the algebra has no parameter")
         param = args.param
-    if param is not None and param != catalog.GENERIC:
+    if param is None:
+        return g, None
+    if not g.has_parameter():
+        raise ValueError("parameter %s given, but the algebra has no parameter"
+                         % param)
+    if param != catalog.GENERIC:
         try:
             param = Fraction(param)
         except ZeroDivisionError:
             raise ValueError("--param %s has a zero denominator"
                              % param) from None
-        if has_param:
-            g = g.substitute(param)
+        g = g.substitute(param)
     return g, param
 
 
@@ -152,19 +151,6 @@ def _betti_and_series(g, nmax):
     long_table = betti_from_differential(d, max(nmax, SERIES_TERMS))
     rec = recognize(long_table.h[:SERIES_TERMS + 1])
     return d, long_table.h[:nmax + 1], rec
-
-
-_ROW_CACHE = {}
-
-
-def _row_data(table1_id, mu):
-    """Cached 41-term Betti run and recognized series for a catalog row."""
-    key = (table1_id, None if mu is None else str(mu))
-    if key not in _ROW_CACHE:
-        g = catalog.load(table1_id, catalog.engine_parameter(mu))
-        _, h, rec = _betti_and_series(g, SERIES_TERMS)
-        _ROW_CACHE[key] = (h, rec)
-    return _ROW_CACHE[key]
 
 
 def cmd_cohomology(args, out):
@@ -240,39 +226,25 @@ def cmd_pbw(args, out):
     return 1
 
 
-def _table_rows(nmax):
-    rows = []
+def _table_entries():
+    """(id, parameter, algebra, expected series) for every table row: each
+    catalog row at each parameter sample, then the abelian family."""
     for table1_id in catalog.ALL_IDS:
         for mu in catalog.parameter_samples(table1_id):
-            if nmax <= SERIES_TERMS:
-                h40, rec = _row_data(table1_id, mu)
-                h = h40[:nmax + 1]
-            else:
-                g = catalog.load(table1_id, catalog.engine_parameter(mu))
-                _, h, rec = _betti_and_series(g, nmax)
-            expected = catalog.expected_series(table1_id, mu)
-            expected_h = expected.expand(nmax)
-            rows.append({
-                "id": str(table1_id),
-                "param": _param_str(mu),
-                "h": h,
-                "series": str(rec) if rec is not None else "inconclusive",
-                "expected": str(expected),
-                "verdict": "PASS" if h == expected_h else "FAIL",
-            })
-    from .series import abelian_closed_form
+            yield (str(table1_id), _param_str(mu),
+                   catalog.load(table1_id, catalog.engine_parameter(mu)),
+                   catalog.expected_series(table1_id, mu))
     for k, (g, q) in enumerate(catalog.abelian_family(), start=1):
-        key = ("abelian", k)
-        if key not in _ROW_CACHE:
-            _, h40, rec = _betti_and_series(g, SERIES_TERMS)
-            _ROW_CACHE[key] = (h40, rec)
-        h40, rec = _ROW_CACHE[key]
-        h = h40[:nmax + 1] if nmax <= SERIES_TERMS else \
-            _betti_and_series(g, nmax)[1]
-        expected = abelian_closed_form(3, q)
+        yield "A%d" % k, "-", g, abelian_closed_form(3, q)
+
+
+def _table_rows(nmax):
+    rows = []
+    for row_id, param, g, expected in _table_entries():
+        _, h, rec = _betti_and_series(g, nmax)
         rows.append({
-            "id": "A%d" % k,
-            "param": "-",
+            "id": row_id,
+            "param": param,
             "h": h,
             "series": str(rec) if rec is not None else "inconclusive",
             "expected": str(expected),

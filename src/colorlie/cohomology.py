@@ -5,8 +5,7 @@ from __future__ import annotations
 
 from .differential import differential_from_brackets
 from .dual import DgaElement, monomial_basis, multiply
-from .linalg import echelon_span, image_basis, rank, rank_kernel
-from .scalars import ZERO
+from .linalg import echelon_span, image_basis, rank, rank_kernel, residue
 
 
 class BettiTable:
@@ -65,30 +64,17 @@ def h1_dimension_check(g):
     return table.h[1] == g.n - g.derived_dimension()[0]
 
 
-def _vector(element, basis_index, length):
-    v = [ZERO] * length
-    for mono, c in element.coeffs.items():
-        v[basis_index[mono]] = c
-    return v
+def _vector(element, basis_index):
+    return {basis_index[mono]: c for mono, c in element.coeffs.items()}
 
 
 def _element(algebra, vec, basis):
-    return DgaElement(algebra, {m: c for m, c in zip(basis, vec)})
+    return DgaElement(algebra, {basis[i]: c for i, c in vec.items()})
 
 
-def _reduce_against(vec, echelon, length):
-    """Reduce a coordinate vector against echelon rows (unit pivots)."""
-    v = list(vec)
-    for row in echelon:
-        # pivot = first nonzero coordinate, normalized to 1 by echelon_span
-        pc = next(i for i, x in enumerate(row) if not x.is_zero())
-        f = v[pc]
-        if f.is_zero():
-            continue
-        for i in range(pc, length):
-            if not row[i].is_zero():
-                v[i] = v[i] - f * row[i]
-    return v
+def _reduce_against(vec, echelon):
+    """Reduce a sparse vector against echelon_span rows."""
+    return residue(vec, {min(row): row for row in echelon})
 
 
 def representatives(g, n):
@@ -102,21 +88,20 @@ def representatives_from_differential(d, n):
     basis = monomial_basis(d.algebra, n)
     if not basis:
         return []
-    index = {m: i for i, m in enumerate(basis)}
     dn = d.matrix(n)
     _, kernel = rank_kernel(dn.matrix)
     if n == 0:
         boundary = []
     else:
         boundary = image_basis(d.matrix(n - 1).matrix)
-    chosen = echelon_span(boundary, len(basis))
+    chosen = echelon_span(boundary)
     out = []
     for kv in kernel:
-        residue = _reduce_against(kv, chosen, len(basis))
-        if all(x.is_zero() for x in residue):
+        r = _reduce_against(kv, chosen)
+        if not r:
             continue
-        chosen = echelon_span(chosen + [residue], len(basis))
-        out.append(CohomologyClass(n, _element(d.algebra, residue, basis)))
+        chosen = echelon_span(chosen + [r])
+        out.append(CohomologyClass(n, _element(d.algebra, r, basis)))
     return out
 
 
@@ -134,7 +119,7 @@ def cup_product(d, c1, c2):
     if prod.is_zero() or not basis:
         return CohomologyClass(n, DgaElement(d.algebra))
     index = {m: i for i, m in enumerate(basis)}
-    vec = _vector(prod, index, len(basis))
-    echelon = echelon_span(cohomology_basis_of_boundaries(d, n), len(basis))
-    residue = _reduce_against(vec, echelon, len(basis))
-    return CohomologyClass(n, _element(d.algebra, residue, basis))
+    vec = _vector(prod, index)
+    echelon = echelon_span(cohomology_basis_of_boundaries(d, n))
+    return CohomologyClass(n, _element(d.algebra, _reduce_against(vec, echelon),
+                                       basis))

@@ -77,8 +77,7 @@ def parse_algebra_text(text):
             except ScalarParseError as exc:
                 raise AlgebraFileError(str(exc)) from exc
         elif head == "param":
-            value = rest.strip()
-            param = GENERIC if value == GENERIC else Fraction(value)
+            param = _param(rest.strip())
         elif head == "grading":
             left, _, bits = rest.partition(":")
             i = _int(left.strip(), line) - 1
@@ -127,6 +126,16 @@ def _int(tok, line):
         return int(tok)
     except ValueError:
         raise AlgebraFileError("expected an integer in %r" % line) from None
+
+
+def _param(value):
+    if value == GENERIC:
+        return GENERIC
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise AlgebraFileError("param must be %r or a rational number, got %r"
+                               % (GENERIC, value)) from None
 
 
 def _sign(tok):

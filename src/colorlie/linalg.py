@@ -1,16 +1,15 @@
 """Exact linear algebra over Q and Q(t): rank, kernel and image bases.
 
-Two independent elimination routes are provided: fraction-free Bareiss
-elimination (on denominator-cleared entries) and plain Gauss-Jordan over the
-field.  Pivoting is deterministic (first nonzero entry in row-major order) so
-kernel bases are reproducible.
+Vectors are sparse: a dict index -> Scalar that never stores a zero.  All
+elimination goes through one routine, `echelon`, which returns the reduced
+row echelon form of a span: unit pivots, each at its row's smallest index,
+and zeros on every other row's pivot.  That form is unique, so kernel and
+image bases depend only on the span, not on the order of elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import ONE, PONE, PZERO, Scalar, ZERO, pdivmod, pmul, ptrim
+from .scalars import ONE, Scalar, ZERO
 
 FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
@@ -21,49 +20,46 @@ class MixedScalarKindError(ValueError):
 
 
 class ExactMatrix:
-    """Dense matrix of Scalars with a declared scalar field (QQ or QQ(t))."""
+    """Matrix of Scalars with a declared scalar field (QQ or QQ(t)), stored
+    as sparse columns: columns[j] is the dict row -> entry of column j."""
 
-    def __init__(self, rows, cols, entries=None, field=FIELD_Q):
+    def __init__(self, rows, cols, field=FIELD_Q):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
         self.field = field
-        self.data = [[ZERO] * cols for _ in range(rows)]
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    @classmethod
-    def from_rows(cls, rowdata, field=None):
-        rows = len(rowdata)
-        cols = len(rowdata[0]) if rowdata else 0
-        if field is None:
-            field = FIELD_QT if any(_as_scalar(v).depends_on_param()
-                                    for row in rowdata for v in row) else FIELD_Q
-        m = cls(rows, cols, field=field)
-        for i, row in enumerate(rowdata):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                m[i, j] = v
-        return m
+        self.columns = [{} for _ in range(cols)]
 
     def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+        return self.columns[ij[1]].get(ij[0], ZERO)
 
     def __setitem__(self, ij, v):
-        v = _as_scalar(v)
+        if not isinstance(v, Scalar):
+            v = Scalar.from_fraction(v)
         if self.field == FIELD_Q and v.depends_on_param():
             raise MixedScalarKindError(
                 "parameter-dependent entry %s in a rational matrix" % v)
-        self.data[ij[0]][ij[1]] = v
+        i, j = ij
+        if v.is_zero():
+            self.columns[j].pop(i, None)
+        else:
+            self.columns[j][i] = v
+
+    @property
+    def data(self):
+        """Dense rows (a fresh copy; the sparse columns are the storage)."""
+        out = [[ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return out
 
     def transpose(self):
         m = ExactMatrix(self.cols, self.rows, field=self.field)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                m.data[j][i] = self.data[i][j]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                m.columns[i][j] = v
         return m
 
     def mul(self, other):
@@ -71,145 +67,81 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         field = FIELD_QT if FIELD_QT in (self.field, other.field) else FIELD_Q
         out = ExactMatrix(self.rows, other.cols, field=field)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.data[i][k]
-                if a.is_zero():
-                    continue
-                for j in range(other.cols):
-                    b = other.data[k][j]
-                    if not b.is_zero():
-                        out.data[i][j] = out.data[i][j] + a * b
+        for col, acc in zip(other.columns, out.columns):
+            for k, c in col.items():
+                _add_multiple(acc, c, self.columns[k])
         return out
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.data for e in row)
-
-    def copy_rows(self):
-        return [row[:] for row in self.data]
-
-    def __str__(self):
-        return "\n".join("[" + " ".join(str(e) for e in row) + "]"
-                         for row in self.data)
+        return not any(self.columns)
 
 
-def _as_scalar(v):
-    if isinstance(v, Scalar):
-        return v
-    return Scalar.from_fraction(v)
+def _add_multiple(v, f, row):
+    """v += f * row in place, dropping entries that cancel."""
+    for i, x in row.items():
+        y = v.get(i)
+        y = f * x if y is None else y + f * x
+        if y.is_zero():
+            del v[i]
+        else:
+            v[i] = y
 
 
-def _rref(rowdata, ncols):
-    """Reduced row echelon form in place; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rowdata)):
-            if not rowdata[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
+def residue(vector, rows):
+    """The vector minus its components along the reduced echelon rows
+    {pivot: row}; the result is zero on every pivot."""
+    v = dict(vector)
+    for p in [p for p in v if p in rows]:
+        # rows vanish on each other's pivots, so v[p] is still the original
+        _add_multiple(v, -v[p], rows[p])
+    return v
+
+
+def echelon(vectors):
+    """Reduced row echelon form of the span of sparse vectors, as
+    {pivot: row}: row[pivot] = ONE, pivot = min(row), and no row has an
+    entry on another row's pivot."""
+    rows = {}
+    for vector in vectors:
+        v = residue(vector, rows)
+        if not v:
             continue
-        rowdata[r], rowdata[pr] = rowdata[pr], rowdata[r]
-        inv = ONE / rowdata[r][c]
-        rowdata[r] = [x * inv for x in rowdata[r]]
-        for i in range(len(rowdata)):
-            if i == r:
-                continue
-            f = rowdata[i][c]
-            if f.is_zero():
-                continue
-            ri, rr = rowdata[i], rowdata[r]
-            rowdata[i] = [ri[j] - f * rr[j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def rank_kernel(m):
-    """Rank and a reduced-echelon kernel basis (list of column vectors)."""
-    rowdata = m.copy_rows()
-    pivots = _rref(rowdata, m.cols)
-    rank = len(pivots)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    kernel = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            coef = rowdata[r][fc]
-            if not coef.is_zero():
-                v[pc] = -coef
-        kernel.append(v)
-    return rank, kernel
+        p = min(v)
+        inv = ONE / v[p]
+        if inv != ONE:
+            v = {i: x * inv for i, x in v.items()}
+        # a row with an entry at p has its pivot below p, and every entry of
+        # v lies at or above p, so that pivot stays the row's smallest index
+        for row in rows.values():
+            f = row.get(p)
+            if f is not None:
+                _add_multiple(row, -f, v)
+        rows[p] = v
+    return rows
 
 
 def rank(m):
-    rowdata = m.copy_rows()
-    return len(_rref(rowdata, m.cols))
+    return len(echelon(m.columns))
+
+
+def rank_kernel(m):
+    """Rank and the reduced-echelon kernel basis: one vector per free
+    column c, with entry ONE at c and zero on the other free columns."""
+    rows = echelon(m.transpose().columns)
+    kernel = {c: {c: ONE} for c in range(m.cols) if c not in rows}
+    for p, row in rows.items():
+        for c, x in row.items():
+            if c != p:  # rows vanish on other pivots, so c is free
+                kernel[c][p] = -x
+    return len(rows), list(kernel.values())
 
 
 def image_basis(m):
-    """Echelonized basis of the column space (size = rank)."""
-    rowdata = m.transpose().copy_rows()
-    _rref(rowdata, m.rows)
-    return [row for row in rowdata if any(not e.is_zero() for e in row)]
+    """Reduced echelon basis of the column space (size = rank)."""
+    return echelon_span(m.columns)
 
 
-def echelon_span(vectors, length):
-    """Echelonize a list of coordinate vectors; returns independent rows."""
-    rowdata = [list(v) for v in vectors]
-    _rref(rowdata, length)
-    return [row for row in rowdata if any(not e.is_zero() for e in row)]
-
-
-def _clear_row(row):
-    """Scale a row of Scalars to polynomial (denominator-free) tuples."""
-    den = PONE
-    for s in row:
-        den = pmul(den, s.den)
-    out = []
-    for s in row:
-        q, r = pdivmod(den, s.den)
-        assert not r
-        out.append(pmul(s.num, q))
-    return out
-
-
-def bareiss_rank(m):
-    """Fraction-free rank: Bareiss elimination on denominator-cleared rows."""
-    a = [_clear_row(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    prev = PONE
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        piv = a[r][c]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                num = ptrim([x - y for x, y in
-                             zip_pad(pmul(piv, a[i][j]), pmul(a[i][c], a[r][j]))])
-                q, rem = pdivmod(num, prev)
-                assert not rem, "Bareiss division must be exact"
-                a[i][j] = q
-            a[i][c] = PZERO
-        prev = piv
-        r += 1
-    return r
-
-
-def zip_pad(a, b):
-    n = max(len(a), len(b))
-    pad = (Fraction(0),)
-    a = a + pad * (n - len(a))
-    b = b + pad * (n - len(b))
-    return zip(a, b)
+def echelon_span(vectors):
+    """Reduced echelon basis of the span of sparse vectors, by pivot."""
+    rows = echelon(vectors)
+    return [rows[p] for p in sorted(rows)]

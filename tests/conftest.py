@@ -65,20 +65,15 @@ def perturbations():
 
 
 def coeff_vectors(classes, basis):
+    """Sparse coordinate vectors {basis index: coefficient}."""
     index = {m: i for i, m in enumerate(basis)}
-    vecs = []
-    for el in classes:
-        v = [ZERO] * len(basis)
-        for mono, c in el.coeffs.items():
-            v[index[mono]] = c
-        vecs.append(v)
-    return vecs
+    return [{index[mono]: c for mono, c in el.coeffs.items()} for el in classes]
 
 
-def spans_equal(vecs_a, vecs_b, length):
-    ea = echelon_span(vecs_a, length)
-    eb = echelon_span(vecs_b, length)
+def spans_equal(vecs_a, vecs_b):
+    ea = echelon_span(vecs_a)
+    eb = echelon_span(vecs_b)
     if len(ea) != len(eb):
         return False
-    both = echelon_span(list(vecs_a) + list(vecs_b), length)
+    both = echelon_span(list(vecs_a) + list(vecs_b))
     return len(both) == len(ea)

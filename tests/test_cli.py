@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from colorlie import catalog, cli
 from colorlie.files import serialize_algebra
 
@@ -77,6 +79,34 @@ def test_param_on_parameter_free_algebra_exit_code(tmp_path, capsys):
     path = write_algebra(tmp_path, catalog.load(3))
     code, out = run(["cohomology", path, "--param", "3"], tmp_path, capsys)
     assert code == 2 and out == ""
+
+
+def test_file_param_zero_denominator_exit_code(tmp_path, capsys):
+    path = write_algebra(tmp_path, catalog.load(10), param="1/0")
+    code, out = run(["cohomology", path, "--max-degree", "2"], tmp_path, capsys)
+    assert code == 2 and out == ""
+
+
+def test_file_param_on_parameter_free_algebra_exit_code(tmp_path, capsys):
+    path = write_algebra(tmp_path, catalog.load(3), param=3)
+    code, out = run(["cohomology", path, "--max-degree", "2"], tmp_path, capsys)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in ("check", "dual", "hilbert", "pbw")
+    for flag in ("--max-degree=3", "--representatives", "--format=json")
+] + [
+    ("cohomology", "--format=json"),
+    ("table", "--param=5"),
+    ("table", "--representatives"),
+])
+def test_subcommand_rejects_flag_it_does_not_read(tmp_path, command, flag):
+    path = [] if command == "table" else [write_algebra(tmp_path, catalog.load(3))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command] + path + [flag])
+    assert exc.value.code == 2
 
 
 def test_cohomology_case5(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_representatives_case13_degree2():
     target = DgaElement(alg, {(0, 2, 0): ONE, (0, 0, 2): ONE})  # f2^2 + f3^2
     basis = monomial_basis(alg, 2)
     assert spans_equal(coeff_vectors([reps[0].representative], basis),
-                       coeff_vectors([target], basis), len(basis))
+                       coeff_vectors([target], basis))
 
 
 def test_cup_product_case13_powers():
@@ -139,7 +139,7 @@ def test_cup_product_case13_powers():
             power = multiply(power, sq)
         basis = monomial_basis(alg, 2 * t)
         assert spans_equal(coeff_vectors([c.representative], basis),
-                           coeff_vectors([power], basis), len(basis))
+                           coeff_vectors([power], basis))
 
 
 def test_cup_product_top_degree_case3():
@@ -189,8 +189,7 @@ def test_cup_product_association_order_finite_duals():
                         continue
                     assert spans_equal(
                         coeff_vectors([left.representative], basis),
-                        coeff_vectors([right.representative], basis),
-                        len(basis))
+                        coeff_vectors([right.representative], basis))
 
 
 def test_cup_product_powers_associate_case13():
@@ -201,8 +200,7 @@ def test_cup_product_powers_associate_case13():
     right = cup_product(d, sigma, cup_product(d, sigma, sigma))
     basis = monomial_basis(d.algebra, 6)
     assert spans_equal(coeff_vectors([left.representative], basis),
-                       coeff_vectors([right.representative], basis),
-                       len(basis))
+                       coeff_vectors([right.representative], basis))
     assert not left.is_zero()
 
 

@@ -75,7 +75,7 @@ def test_image_case5_is_f1f2_line():
     dm = d.matrix(1)
     basis = image_basis(dm.matrix)
     assert len(basis) == 1
-    support = [m for m, x in zip(dm.row_basis, basis[0]) if not x.is_zero()]
+    support = [dm.row_basis[i] for i in basis[0]]
     assert support == [(1, 1, 0)]  # the f1 f2 coordinate
 
 
