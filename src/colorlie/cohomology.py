@@ -90,11 +90,8 @@ def representatives_from_differential(d, n):
         return []
     dn = d.matrix(n)
     _, kernel = rank_kernel(dn.matrix)
-    if n == 0:
-        boundary = []
-    else:
-        boundary = image_basis(d.matrix(n - 1).matrix)
-    chosen = echelon_span(boundary)
+    # image_basis is already a reduced echelon basis
+    chosen = cohomology_basis_of_boundaries(d, n)
     out = []
     for kv in kernel:
         r = _reduce_against(kv, chosen)
@@ -120,6 +117,6 @@ def cup_product(d, c1, c2):
         return CohomologyClass(n, DgaElement(d.algebra))
     index = {m: i for i, m in enumerate(basis)}
     vec = _vector(prod, index)
-    echelon = echelon_span(cohomology_basis_of_boundaries(d, n))
+    echelon = cohomology_basis_of_boundaries(d, n)
     return CohomologyClass(n, _element(d.algebra, _reduce_against(vec, echelon),
                                        basis))

@@ -62,6 +62,8 @@ class Differential:
                         rho *= algebra.anticommute_sign(j, k)
                 terms.append((m, c, rho))
             self._terms.append(terms)
+        # degree -> DifferentialMatrix; nothing writes to a built matrix
+        self._matrices = {}
 
     def has_parameter(self):
         return any(c.depends_on_param()
@@ -115,7 +117,10 @@ class Differential:
         return out
 
     def matrix(self, n):
-        """Matrix of d on monomial_basis(n), columns indexed by the basis."""
+        """Matrix of d on monomial_basis(n), columns indexed by the basis;
+        built once per degree and shared by every caller, so read-only."""
+        if n in self._matrices:
+            return self._matrices[n]
         cols = monomial_basis(self.algebra, n)
         rows = monomial_basis(self.algebra, n + 1)
         index = {m: i for i, m in enumerate(rows)}
@@ -124,7 +129,8 @@ class Differential:
             image = self.apply_monomial(mono)
             for m, c in image.coeffs.items():
                 mat[index[m], j] = c
-        return DifferentialMatrix(n, mat, rows, cols)
+        self._matrices[n] = DifferentialMatrix(n, mat, rows, cols)
+        return self._matrices[n]
 
 
 class DifferentialMatrix:

@@ -24,6 +24,10 @@ class SignAlgebra:
         for (i, j) in self.commuting:
             if not (0 <= i < j < n):
                 raise ValueError("commuting pair out of range")
+        # per generator j: the generators i > j that anticommute with it
+        self._flips = [tuple(i for i in range(j + 1, n)
+                             if (j, i) not in self.commuting)
+                       for j in range(n)]
 
     def __eq__(self, other):
         return (isinstance(other, SignAlgebra) and self.n == other.n
@@ -44,31 +48,35 @@ class SignAlgebra:
     def monomial_basis(self, degree):
         """All exponent vectors of the given degree respecting the square
         caps, in lexicographic order."""
+        if not self.n:
+            return [()] if degree == 0 else []
+        caps = [1 if i in self.square_zero else degree for i in range(self.n)]
+        last = self.n - 1
         out = []
 
         def rec(prefix, remaining):
             pos = len(prefix)
-            if pos == self.n:
-                if remaining == 0:
-                    out.append(tuple(prefix))
+            if pos == last:
+                # the last exponent is whatever degree is left
+                if 0 <= remaining <= caps[last]:
+                    out.append(prefix + (remaining,))
                 return
-            cap = 1 if pos in self.square_zero else remaining
-            for a in range(min(cap, remaining) + 1):
-                rec(prefix + [a], remaining - a)
+            for a in range(min(caps[pos], remaining) + 1):
+                rec(prefix + (a,), remaining - a)
 
-        rec([], degree)
+        rec((), degree)
         return out
 
     def multiply_monomials(self, a, b):
         """(sign, exponent vector) of the product, sign 0 when capped."""
         sign = 1
-        # each letter f_j of b passes the letters f_i of a with i > j
-        for j in range(self.n):
-            if not b[j]:
-                continue
-            for i in range(j + 1, self.n):
-                if a[i] and self.anticommute_sign(i, j) == -1 and (a[i] * b[j]) % 2:
-                    sign = -sign
+        # each letter f_j of b passes the letters f_i of a with i > j; the
+        # sign flips once per anticommuting pair with b[j] and a[i] both odd
+        for j, flips in enumerate(self._flips):
+            if b[j] % 2:
+                for i in flips:
+                    if a[i] % 2:
+                        sign = -sign
         total = tuple(x + y for x, y in zip(a, b))
         for i in self.square_zero:
             if total[i] > 1:

@@ -48,7 +48,11 @@ def parse_algebra_text(text):
         pos += 1
         head, _, rest = line.partition(" ")
         if head == "dim":
+            if dim is not None:
+                raise AlgebraFileError("dim declared twice")
             dim = _int(rest, line)
+            if dim < 1:
+                raise AlgebraFileError("dim must be a positive integer: %r" % line)
         elif head == "signs":
             if dim is None:
                 raise AlgebraFileError("signs before dim")
@@ -63,14 +67,19 @@ def parse_algebra_text(text):
                                            % (lines[pos - 1], dim))
                 signs.append([_sign(tok) for tok in row])
         elif head == "bracket":
+            if dim is None:
+                raise AlgebraFileError("bracket before dim")
             left, _, coeffs = rest.partition(":")
             idx = left.split()
             if len(idx) != 2:
                 raise AlgebraFileError("bracket needs two indices: %r" % line)
             i, j = _int(idx[0], line) - 1, _int(idx[1], line) - 1
+            if (i, j) in brackets:
+                raise AlgebraFileError("bracket %d %d declared twice"
+                                       % (i + 1, j + 1))
             vec = coeffs.split()
-            if dim is None or len(vec) != dim:
-                raise AlgebraFileError("bracket %r needs %s coefficients"
+            if len(vec) != dim:
+                raise AlgebraFileError("bracket %r needs %d coefficients"
                                        % (line, dim))
             try:
                 brackets[(i, j)] = tuple(parse_scalar(toktext) for toktext in vec)

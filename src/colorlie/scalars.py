@@ -160,10 +160,7 @@ class Scalar:
 
     @staticmethod
     def from_fraction(q):
-        q = Fraction(q)
-        if q == 0:
-            return ZERO
-        return Scalar((q,), PONE, _canonical=True)
+        return _rational(Fraction(q))
 
     @staticmethod
     def param():
@@ -187,9 +184,12 @@ class Scalar:
 
     def __add__(self, other):
         other = _coerce(other)
+        a, b = self.num, other.num
+        if len(a) < 2 and len(b) < 2 and len(self.den) == 1 == len(other.den):
+            return _rational((a[0] if a else F0) + (b[0] if b else F0))
         if self.den == PONE and other.den == PONE:
-            return Scalar(padd(self.num, other.num), PONE, _canonical=True)
-        return Scalar(padd(pmul(self.num, other.den), pmul(other.num, self.den)),
+            return Scalar(padd(a, b), PONE, _canonical=True)
+        return Scalar(padd(pmul(a, other.den), pmul(b, self.den)),
                       pmul(self.den, other.den))
 
     __radd__ = __add__
@@ -205,19 +205,27 @@ class Scalar:
 
     def __mul__(self, other):
         other = _coerce(other)
-        if not self.num or not other.num:
+        a, b = self.num, other.num
+        if not a or not b:
             return ZERO
+        if len(a) == 1 == len(b) and len(self.den) == 1 == len(other.den):
+            return Scalar((a[0] * b[0],), PONE, _canonical=True)
         if self.den == PONE and other.den == PONE:
-            return Scalar(pmul(self.num, other.num), PONE)
-        return Scalar(pmul(self.num, other.num), pmul(self.den, other.den))
+            return Scalar(pmul(a, b), PONE)
+        return Scalar(pmul(a, b), pmul(self.den, other.den))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if not other.num:
+        a, b = self.num, other.num
+        if not b:
             raise ZeroDivisionError("division by zero")
-        return Scalar(pmul(self.num, other.den), pmul(self.den, other.num))
+        if not a:
+            return ZERO
+        if len(a) == 1 == len(b) and len(self.den) == 1 == len(other.den):
+            return Scalar((a[0] / b[0],), PONE, _canonical=True)
+        return Scalar(pmul(a, other.den), pmul(self.den, b))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -259,6 +267,11 @@ class Scalar:
 
     def __repr__(self):
         return "Scalar(%s)" % self
+
+
+def _rational(q):
+    """The canonical Scalar of a Fraction q."""
+    return Scalar((q,), PONE, _canonical=True) if q else ZERO
 
 
 def _coerce(x):

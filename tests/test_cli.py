@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from colorlie import catalog, cli
+from colorlie import catalog, cli, differential
 from colorlie.files import serialize_algebra
 
 
@@ -93,6 +93,26 @@ def test_file_param_on_parameter_free_algebra_exit_code(tmp_path, capsys):
     assert code == 2 and out == ""
 
 
+CASE3_SIGNS = "signs\n+1 -1 -1\n-1 +1 -1\n-1 -1 +1\n"
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("dim -1\nsigns\n", "dim must be a positive integer"),
+    ("dim 0\nsigns\n", "dim must be a positive integer"),
+    ("dim 3\n" + CASE3_SIGNS + "dim 2\n", "dim declared twice"),
+    ("bracket 1 2 : 0 0 1\ndim 3\n" + CASE3_SIGNS, "bracket before dim"),
+    ("dim 3\n" + CASE3_SIGNS + "bracket 1 2 : 0 0 1\nbracket 1 2 : 0 0 2\n",
+     "bracket 1 2 declared twice"),
+], ids=["negative-dim", "zero-dim", "second-dim", "bracket-before-dim",
+        "repeated-bracket"])
+def test_malformed_document_exit_code(tmp_path, capsys, text, reason):
+    path = tmp_path / "malformed.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and reason in captured.err
+
+
 @pytest.mark.parametrize("command, flag", [
     (command, flag)
     for command in ("check", "dual", "hilbert", "pbw")
@@ -142,6 +162,23 @@ def test_cohomology_representatives(tmp_path, capsys):
     assert code == 0
     assert "H^1: f1" in out
     assert "H^2: f2*f3" in out
+
+
+def test_cohomology_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class CountingMatrix(differential.DifferentialMatrix):
+        def __init__(self, degree, *args):
+            built.append(degree)
+            super().__init__(degree, *args)
+
+    monkeypatch.setattr(differential, "DifferentialMatrix", CountingMatrix)
+    path = write_algebra(tmp_path, catalog.load(13))
+    code, _ = run(["cohomology", path, "--max-degree", "14",
+                   "--representatives"], tmp_path, capsys)
+    assert code == 0
+    # betti runs to degree SERIES_TERMS; representatives reuse its matrices
+    assert sorted(built) == list(range(cli.SERIES_TERMS + 1))
 
 
 def test_series_command(tmp_path, capsys):

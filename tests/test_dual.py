@@ -147,6 +147,59 @@ def test_multiply_sign_commutation_on_monomials():
                 assert s1 == s2 == 0
 
 
+def sign_algebras(max_n=4):
+    """Every sign algebra on 1..max_n generators: each square-zero set J
+    with each commuting set Q."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for j_bits in itertools.product((0, 1), repeat=n):
+            square_zero = {i for i, bit in enumerate(j_bits) if bit}
+            for q_bits in itertools.product((0, 1), repeat=len(pairs)):
+                yield SignAlgebra(n, square_zero, {p for p, bit in
+                                                   zip(pairs, q_bits) if bit})
+
+
+def test_monomial_basis_matches_brute_force():
+    for n in range(1, 5):
+        for j_bits in itertools.product((0, 1), repeat=n):
+            square_zero = {i for i, bit in enumerate(j_bits) if bit}
+            alg = SignAlgebra(n, square_zero, set())
+            for degree in range(9):
+                # itertools.product runs in lexicographic order
+                expected = [m for m in itertools.product(range(degree + 1),
+                                                         repeat=n)
+                            if sum(m) == degree
+                            and all(m[i] <= 1 for i in square_zero)]
+                assert alg.monomial_basis(degree) == expected
+
+
+def bubble_sort_product(alg, a, b):
+    """(sign, exponents) of f^a f^b by sorting its letters with adjacent
+    transpositions, each of two distinct letters giving their sign."""
+    word = [i for m in (a, b) for i, e in enumerate(m) for _ in range(e)]
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for p in range(end):
+            x, y = word[p], word[p + 1]
+            if x > y:
+                word[p], word[p + 1] = y, x
+                if (y, x) not in alg.commuting:
+                    sign = -sign
+    total = tuple(word.count(i) for i in range(alg.n))
+    if any(total[i] > 1 for i in alg.square_zero):
+        return 0, total
+    return sign, total
+
+
+def test_multiply_monomials_matches_bubble_sort():
+    rng = random.Random(11)
+    for alg in sign_algebras():
+        for _ in range(12):
+            a, b = (tuple(rng.randrange(4) for _ in range(alg.n))
+                    for _ in range(2))
+            assert alg.multiply_monomials(a, b) == bubble_sort_product(alg, a, b)
+
+
 def test_hilbert_series_closed_forms():
     full = SignAlgebra(3, {0, 1, 2}, ALL_PAIRS)
     assert hilbert_series(full).expand(4) == [1, 3, 3, 1, 0]

@@ -1,5 +1,8 @@
-"""Property tests: the algebra file format round-trips generated algebras, and
-Scalar satisfies the field axioms on generated rational functions in t."""
+"""Property tests: the algebra file format round-trips generated algebras,
+Scalar satisfies the field axioms on generated rational functions in t, and
+its arithmetic on rationals agrees with Fraction in canonical form."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +16,8 @@ from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,  # noqa: E402
                               find_grading)
 from colorlie.catalog import GENERIC  # noqa: E402
 from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
-from colorlie.scalars import ONE, T, ZERO, Scalar  # noqa: E402
+from colorlie.scalars import (ONE, PONE, T, ZERO, Scalar,  # noqa: E402
+                              pgcd)
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
@@ -93,3 +97,54 @@ def test_scalar_field_axioms(x, y, z):
     if not x.is_zero():
         assert x * (ONE / x) == ONE
         assert (y / x) * x == y
+
+
+def _assert_canonical(s):
+    """num/den coprime, den monic, no trailing zero, zero exactly as ZERO."""
+    assert s.den and s.den[-1] == 1
+    assert not s.num or s.num[-1] != 0
+    assert pgcd(s.num, s.den) == PONE if s.num else s.den == PONE
+    assert (s.num == ()) == (s == ZERO)
+
+
+@settings(deadline=None)
+@given(RATIONALS, RATIONALS)
+def test_rational_arithmetic_matches_fraction(p, q):
+    x, y = Scalar.from_fraction(p), Scalar.from_fraction(q)
+    # each operation once more through the Q(t) path, on x t and y t
+    cases = [(x + y, p + q, (x * T + y * T) / T),
+             (x - y, p - q, (x * T - y * T) / T),
+             (x * y, p * q, (x * T) * (y * T) / (T * T))]
+    if q:
+        cases.append((x / y, p / q, (x * T) / (y * T)))
+    for s, value, slow in cases:
+        _assert_canonical(s)
+        assert s.den == PONE
+        assert s.num == ((value,) if value else ())
+        assert s == slow and hash(s) == hash(slow)
+
+
+POINTS = (Fraction(2), Fraction(-3), Fraction(1, 5))
+
+
+@settings(deadline=None)
+@given(RATIONALS, RATIONAL_FUNCTIONS)
+def test_rational_and_rational_function_mix(q, f):
+    x = Scalar.from_fraction(q)
+    cases = [(x + f, lambda v: q + v), (f + x, lambda v: v + q),
+             (x - f, lambda v: q - v), (f - x, lambda v: v - q),
+             (x * f, lambda v: q * v), (f * x, lambda v: v * q)]
+    if q:
+        cases.append((f / x, lambda v: v / q))
+    if f:
+        cases.append((x / f, lambda v: q / v))
+    assert x + f == f + x and hash(x + f) == hash(f + x)
+    assert x * f == f * x and hash(x * f) == hash(f * x)
+    for s, value in cases:
+        _assert_canonical(s)
+        for c in POINTS:
+            try:
+                expected = value(f.substitute(c).as_fraction())
+            except ZeroDivisionError:  # a pole of f, or a zero of f in q / f
+                continue
+            assert s.substitute(c) == Scalar.from_fraction(expected)
