@@ -15,7 +15,7 @@ from .cohomology import (BettiTable, CohomologyClass, betti,
 from .differential import (Differential, check_d_squared,
                            differential_from_brackets)
 from .dual import (DgaElement, SignAlgebra, dual_of, enveloping_sign_algebra,
-                   hilbert_series, monomial_basis, multiply, quadratic_dual)
+                   monomial_basis, multiply, quadratic_dual)
 from .linalg import ExactMatrix, image_basis, rank, rank_kernel
 from .pbw import (QuadLinRelation, groebner_check, normal_words, reduce_word,
                   uea_relations)

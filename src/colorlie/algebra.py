@@ -25,9 +25,6 @@ class CommutationMatrix:
             if len(row) != self.n:
                 raise ValueError("sign matrix must be square")
 
-    def sign(self, i, j):
-        return self.s[i][j]
-
     def validate(self):
         """Return a list of violating (i, j) pairs; empty means valid."""
         bad = []
@@ -60,32 +57,26 @@ class CommutationMatrix:
         return "CommutationMatrix(%r)" % (self.s,)
 
 
-def _solve_gf2(equations, nvars):
-    """Solve a linear system over GF(2); equations are (coeff_row, rhs)."""
-    rows = [(list(c), r) for c, r in equations]
-    pivot_for = {}
-    for crow, rhs in rows:
-        crow = crow[:]
-        for col, prow in pivot_for.items():
-            if crow[col]:
-                pc, pr = prow
-                crow = [(a ^ b) for a, b in zip(crow, pc)]
-                rhs ^= pr
-        lead = next((k for k, a in enumerate(crow) if a), None)
-        if lead is None:
-            if rhs:
-                return None
+def _gf2_echelon(rows):
+    """Reduced row echelon form over GF(2) of int bitmask rows, as
+    {pivot bit: row}: each pivot is its row's lowest set bit, and no row
+    has another row's pivot bit set.  That form is unique, so it depends
+    only on the span, not on the order of the rows."""
+    echelon = {}
+    for v in rows:
+        # rows vanish on each other's pivots, so one pass clears them all
+        for p, row in echelon.items():
+            if v >> p & 1:
+                v ^= row
+        if not v:
             continue
-        pivot_for[lead] = (crow, rhs)
-    sol = [0] * nvars
-    for col in sorted(pivot_for, reverse=True):
-        crow, rhs = pivot_for[col]
-        acc = rhs
-        for k in range(col + 1, nvars):
-            if crow[k]:
-                acc ^= sol[k]
-        sol[col] = acc
-    return sol
+        p = (v & -v).bit_length() - 1
+        # a row with bit p set has its pivot below p, where v is zero
+        for q, row in echelon.items():
+            if row >> p & 1:
+                echelon[q] = row ^ v
+        echelon[p] = v
+    return echelon
 
 
 class GradingAssignment:
@@ -99,25 +90,22 @@ class GradingAssignment:
                 raise ValueError("grading bit-vectors must share one length")
 
     def find_form(self, cm):
-        """A bilinear form B with s[i][j] = (-1)^(d_i B d_j), or None."""
+        """A bilinear form B with s[i][j] = (-1)^(d_i B d_j), or None.
+
+        The unknown B[p][q] is bit p*m + q and bit m*m holds the right-hand
+        side; the system is inconsistent exactly when m*m is a pivot."""
         m = self.m
-        eqs = []
-        for i in range(cm.n):
-            for j in range(cm.n):
-                coeffs = [0] * (m * m)
-                di, dj = self.degrees[i], self.degrees[j]
-                for p in range(m):
-                    if not di[p]:
-                        continue
-                    for q in range(m):
-                        if dj[q]:
-                            coeffs[p * m + q] ^= 1
-                rhs = 0 if cm.s[i][j] == 1 else 1
-                eqs.append((coeffs, rhs))
-        sol = _solve_gf2(eqs, m * m)
-        if sol is None:
+        rhs = m * m
+        masks = [sum(b << q for q, b in enumerate(d)) for d in self.degrees]
+        echelon = _gf2_echelon(
+            sum(dj << p * m for p in range(m) if di >> p & 1)
+            | (cm.s[i][j] == -1) << rhs
+            for i, di in enumerate(masks) for j, dj in enumerate(masks))
+        if rhs in echelon:
             return None
-        return tuple(tuple(sol[p * m + q] for q in range(m)) for p in range(m))
+        # free unknowns are 0, so each pivot unknown is its row's rhs bit
+        return tuple(tuple(echelon.get(p * m + q, 0) >> rhs & 1
+                           for q in range(m)) for p in range(m))
 
     def is_compatible(self, cm):
         return self.find_form(cm) is not None
@@ -129,51 +117,16 @@ class GradingAssignment:
 def find_grading(cm, brackets=None):
     """A Z_2^m grading realizing the sign matrix and, when structure
     constants are given, the additivity deg_k = deg_i + deg_j on every
-    occupied slot.  Degrees live in F_2^n modulo the additivity relations;
-    returns None when no certifying bilinear form exists."""
-    n = cm.n
-    relations = []
-    if brackets:
-        for (i, j), vec in brackets.items():
-            for k, c in enumerate(vec):
-                if c.is_zero():
-                    continue
-                rel = [0] * n
-                rel[i] ^= 1
-                rel[j] ^= 1
-                rel[k] ^= 1
-                relations.append(rel)
-    # F_2 row reduction of the relations; pivot generators are expressed
-    # through the free ones.
-    reduced = []
-    pivots = []
-    for rel in relations:
-        rel = rel[:]
-        for row, p in zip(reduced, pivots):
-            if rel[p]:
-                rel = [a ^ b for a, b in zip(rel, row)]
-        lead = next((k for k, a in enumerate(rel) if a), None)
-        if lead is not None:
-            reduced.append(rel)
-            pivots.append(lead)
-    for a in range(len(reduced) - 1, -1, -1):
-        for b in range(a):
-            if reduced[b][pivots[a]]:
-                reduced[b] = [x ^ y for x, y in zip(reduced[b], reduced[a])]
-    free = [i for i in range(n) if i not in pivots]
-    coord = {f: k for k, f in enumerate(free)}
-    degrees = []
-    for i in range(n):
-        d = [0] * len(free)
-        if i in coord:
-            d[coord[i]] = 1
-        else:
-            row = reduced[pivots.index(i)]
-            for f in free:
-                if row[f]:
-                    d[coord[f]] ^= 1
-        degrees.append(tuple(d))
-    ga = GradingAssignment(degrees)
+    occupied slot.  Degrees live in F_2^n modulo the additivity relations:
+    each pivot generator is expressed through the free ones.  Returns None
+    when no certifying bilinear form exists."""
+    echelon = _gf2_echelon(1 << i ^ 1 << j ^ 1 << k
+                           for (i, j), vec in (brackets or {}).items()
+                           for k, c in enumerate(vec) if not c.is_zero())
+    free = [i for i in range(cm.n) if i not in echelon]
+    ga = GradingAssignment(
+        tuple(echelon[i] >> f & 1 if i in echelon else int(i == f) for f in free)
+        for i in range(cm.n))
     if ga.find_form(cm) is None:
         return None
     return ga
@@ -228,18 +181,6 @@ class ColorLieAlgebra:
         sgn = Scalar.from_fraction(-self.cm.s[i][j])
         return tuple(sgn * c for c in stored)
 
-    def bracket_of_vector(self, i, vec):
-        """<e_i, v> for a coefficient vector v."""
-        out = [ZERO] * self.n
-        for m, c in enumerate(vec):
-            if c.is_zero():
-                continue
-            bm = self.full_bracket(i, m)
-            for k in range(self.n):
-                if not bm[k].is_zero():
-                    out[k] = out[k] + c * bm[k]
-        return tuple(out)
-
     def jacobi_defect(self):
         """All basis triples i <= j <= k where the generalized Jacobi cyclic
         sum eps(k,i)<e_i,<e_j,e_k>> + eps(j,k)<e_k,<e_i,e_j>> +
@@ -253,11 +194,14 @@ class ColorLieAlgebra:
                 (s[j][k], k, i, j),
                 (s[i][j], j, k, i),
             ):
-                inner = self.full_bracket(b, c)
-                outer = self.bracket_of_vector(a, inner)
-                for m in range(self.n):
-                    if not outer[m].is_zero():
-                        total[m] = total[m] + Scalar.from_fraction(sgn) * outer[m]
+                for l, x in enumerate(self.full_bracket(b, c)):
+                    if x.is_zero():
+                        continue
+                    if sgn == -1:
+                        x = -x
+                    for m, y in enumerate(self.full_bracket(a, l)):
+                        if not y.is_zero():
+                            total[m] = total[m] + x * y
             if any(not x.is_zero() for x in total):
                 bad.append((i, j, k, tuple(total)))
         return bad

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import catalog
 from .cohomology import betti_from_differential, representatives_from_differential
 from .differential import differential_from_brackets
-from .dual import dual_of, enveloping_sign_algebra, hilbert_series, monomial_basis
+from .dual import dual_of, enveloping_sign_algebra
 from .files import AlgebraFileError, parse_algebra_file
 from .pbw import groebner_check, uea_relations, word_str
 from .series import abelian_closed_form, recognize
@@ -32,10 +32,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     out = sys.stdout
     close = False
-    if getattr(args, "out", None):
-        out = open(args.out, "w", encoding="utf-8")
-        close = True
     try:
+        if getattr(args, "out", None):
+            out = open(args.out, "w", encoding="utf-8")
+            close = True
         return args.func(args, out)
     except (AlgebraFileError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
@@ -202,9 +202,9 @@ def cmd_dual(args, out):
 def cmd_hilbert(args, out):
     g, _ = _load(args)
     a = enveloping_sign_algebra(g)
-    hs = hilbert_series(a)
+    hs = a.hilbert_series()
     coeffs = hs.expand(10)
-    counts = [len(monomial_basis(a, dd)) for dd in range(11)]
+    counts = [len(a.monomial_basis(dd)) for dd in range(11)]
     print("hilbert: %s" % hs, file=out)
     print("coefficients: %s" % " ".join(str(c) for c in coeffs), file=out)
     if coeffs != counts:

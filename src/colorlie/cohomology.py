@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from .differential import differential_from_brackets
 from .dual import DgaElement, monomial_basis, multiply
-from .linalg import echelon_span, image_basis, rank, rank_kernel, residue
+from .linalg import echelon, insert, rank, rank_kernel, residue
+# unused here, but perfbench/traced.py wraps these names in this module
+from .linalg import echelon_span, image_basis  # noqa: F401
 
 
 class BettiTable:
@@ -72,11 +74,6 @@ def _element(algebra, vec, basis):
     return DgaElement(algebra, {basis[i]: c for i, c in vec.items()})
 
 
-def _reduce_against(vec, echelon):
-    """Reduce a sparse vector against echelon_span rows."""
-    return residue(vec, {min(row): row for row in echelon})
-
-
 def representatives(g, n):
     """Deterministic complement basis of B^n inside Z^n: earliest echelon
     complement in the lexicographic monomial order."""
@@ -90,22 +87,15 @@ def representatives_from_differential(d, n):
         return []
     dn = d.matrix(n)
     _, kernel = rank_kernel(dn.matrix)
-    # image_basis is already a reduced echelon basis
-    chosen = cohomology_basis_of_boundaries(d, n)
+    # reduced echelon rows of B^n, then of B^n plus each class chosen so far
+    rows = echelon(d.matrix(n - 1).matrix.columns) if n else {}
     out = []
     for kv in kernel:
-        r = _reduce_against(kv, chosen)
-        if not r:
-            continue
-        chosen = echelon_span(chosen + [r])
-        out.append(CohomologyClass(n, _element(d.algebra, r, basis)))
+        r = residue(kv, rows)
+        if r:
+            out.append(CohomologyClass(n, _element(d.algebra, r, basis)))
+            insert(rows, r)
     return out
-
-
-def cohomology_basis_of_boundaries(d, n):
-    if n == 0:
-        return []
-    return image_basis(d.matrix(n - 1).matrix)
 
 
 def cup_product(d, c1, c2):
@@ -117,6 +107,5 @@ def cup_product(d, c1, c2):
         return CohomologyClass(n, DgaElement(d.algebra))
     index = {m: i for i, m in enumerate(basis)}
     vec = _vector(prod, index)
-    echelon = cohomology_basis_of_boundaries(d, n)
-    return CohomologyClass(n, _element(d.algebra, _reduce_against(vec, echelon),
-                                       basis))
+    rows = echelon(d.matrix(n - 1).matrix.columns) if n else {}
+    return CohomologyClass(n, _element(d.algebra, residue(vec, rows), basis))

@@ -104,20 +104,25 @@ def echelon(vectors):
     rows = {}
     for vector in vectors:
         v = residue(vector, rows)
-        if not v:
-            continue
-        p = min(v)
-        inv = ONE / v[p]
-        if inv != ONE:
-            v = {i: x * inv for i, x in v.items()}
-        # a row with an entry at p has its pivot below p, and every entry of
-        # v lies at or above p, so that pivot stays the row's smallest index
-        for row in rows.values():
-            f = row.get(p)
-            if f is not None:
-                _add_multiple(row, -f, v)
-        rows[p] = v
+        if v:
+            insert(rows, v)
     return rows
+
+
+def insert(rows, v):
+    """Add a nonzero residue v (zero on every pivot) to the reduced echelon
+    rows {pivot: row} in place, keeping them reduced."""
+    p = min(v)
+    inv = ONE / v[p]
+    if inv != ONE:
+        v = {i: x * inv for i, x in v.items()}
+    # a row with an entry at p has its pivot below p, and every entry of
+    # v lies at or above p, so that pivot stays the row's smallest index
+    for row in rows.values():
+        f = row.get(p)
+        if f is not None:
+            _add_multiple(row, -f, v)
+    rows[p] = v
 
 
 def rank(m):

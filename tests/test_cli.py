@@ -256,6 +256,14 @@ def test_table_out_file_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_out_to_unwritable_path_is_input_error(tmp_path, capsys):
+    target = tmp_path / "absent" / "x.txt"
+    assert cli.main(["series", "1", "2", "3", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
 def test_round_trip_report_identical(tmp_path, capsys):
     g = catalog.load(13)
     p1 = write_algebra(tmp_path, g, "a.txt")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,35 @@ def test_jacobi_defect_catalog_and_abelian():
     assert catalog.load(3).associated_abelian().jacobi_defect() == []
 
 
+def jacobi_oracle(g):
+    """Dense Fraction cyclic sums, in jacobi_defect's order and shape."""
+    n, s = g.n, g.cm.s
+
+    def br(i, j):
+        sgn, key = (1, (i, j)) if i <= j else (-s[i][j], (j, i))
+        vec = g.brackets.get(key, (ZERO,) * n)
+        return [sgn * c.as_fraction() for c in vec]
+
+    out = []
+    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+        total = [Fraction(0)] * n
+        for sgn, a, b, c in ((s[k][i], i, j, k), (s[j][k], k, i, j),
+                             (s[i][j], j, k, i)):
+            inner = br(b, c)
+            for l in range(n):
+                outer = br(a, l)
+                for m in range(n):
+                    total[m] += sgn * inner[l] * outer[m]
+        if any(total):
+            out.append((i, j, k, tuple(total)))
+    return out
+
+
+def defect_fractions(g):
+    return [(i, j, k, tuple(x.as_fraction() for x in total))
+            for i, j, k, total in g.jacobi_defect()]
+
+
 def test_jacobi_defect_mutant():
     # redirecting <e2,e3> to e2 breaks the cyclic identity (and the grading)
     g = catalog.load(3)
@@ -62,7 +92,26 @@ def test_jacobi_defect_mutant():
     brackets[(1, 2)] = (ZERO, ONE, ZERO)
     mutant = ColorLieAlgebra(g.cm, brackets)
     assert mutant.jacobi_defect() != []
+    assert defect_fractions(mutant) == jacobi_oracle(mutant)
     assert not mutant.validate().ok
+
+
+def test_jacobi_defect_sums_match_fraction_oracle():
+    # dense brackets that ignore the grading, over every catalog sign matrix
+    rng = random.Random(20261018)
+    pool = [Fraction(c) for c in (-3, -1, 1, 2)] + [Fraction(1, 2), Fraction(0)]
+    defective = 0
+    for a in catalog.ALL_IDS:
+        cm = CommutationMatrix(catalog.entry(a).signs)
+        for _ in range(4):
+            brackets = {(i, j): tuple(Scalar.from_fraction(rng.choice(pool))
+                                      for _ in range(3))
+                        for i in range(3) for j in range(i, 3)}
+            random_g = ColorLieAlgebra(cm, brackets)
+            expected = jacobi_oracle(random_g)
+            assert defect_fractions(random_g) == expected
+            defective += bool(expected)
+    assert defective > 30
 
 
 def test_case3_rescaled_coefficient_stays_valid():
@@ -110,6 +159,37 @@ def test_grading_assignment_incompatible():
     ga = GradingAssignment([(0,), (0,)])
     cm = CommutationMatrix(((1, -1), (-1, 1)))
     assert not ga.is_compatible(cm)
+
+
+def test_find_form_matches_exhaustive_search():
+    rng = random.Random(20261018)
+    sign_matrices = [
+        ((d[0], s12, s13), (s12, d[1], s23), (s13, s23, d[2]))
+        for d in itertools.product((1, -1), repeat=3)
+        for s12, s13, s23 in itertools.product((1, -1), repeat=3)]
+    found = 0
+    for m in range(4):
+        for _ in range(6):
+            degrees = [tuple(rng.randint(0, 1) for _ in range(m))
+                       for _ in range(3)]
+
+            def signs_of(form):
+                return tuple(tuple(
+                    (-1) ** sum(di[p] * form[p][q] * dj[q]
+                                for p in range(m) for q in range(m))
+                    for dj in degrees) for di in degrees)
+
+            # every form B, with B[p][q] = bits[p * m + q]
+            realizable = {signs_of([bits[p * m:(p + 1) * m] for p in range(m)])
+                          for bits in itertools.product((0, 1), repeat=m * m)}
+            ga = GradingAssignment(degrees)
+            for signs in sign_matrices:
+                form = ga.find_form(CommutationMatrix(signs))
+                assert (form is not None) == (signs in realizable)
+                if form is not None:
+                    assert signs_of(form) == signs
+                    found += 1
+    assert found > 24
 
 
 def test_find_grading_matches_all_catalog_matrices():

@@ -5,9 +5,8 @@ from fractions import Fraction
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.dual import (DgaElement, SignAlgebra, dual_of,
-                           enveloping_sign_algebra, hilbert_series,
-                           monomial_basis, monomial_str, multiply,
-                           quadratic_dual)
+                           enveloping_sign_algebra, monomial_basis,
+                           monomial_str, multiply, quadratic_dual)
 from colorlie.scalars import ONE
 
 ALL_PAIRS = frozenset({(0, 1), (0, 2), (1, 2)})
@@ -202,20 +201,20 @@ def test_multiply_monomials_matches_bubble_sort():
 
 def test_hilbert_series_closed_forms():
     full = SignAlgebra(3, {0, 1, 2}, ALL_PAIRS)
-    assert hilbert_series(full).expand(4) == [1, 3, 3, 1, 0]
+    assert full.hilbert_series().expand(4) == [1, 3, 3, 1, 0]
     free = SignAlgebra(3, set(), set())
-    assert hilbert_series(free).expand(3) == [1, 3, 6, 10]
+    assert free.hilbert_series().expand(3) == [1, 3, 6, 10]
 
 
 def test_hilbert_series_case6_dual_coefficient():
     d = dual_of(catalog.load(6, Fraction(-2)))
-    assert hilbert_series(d).expand(4)[4] == len(monomial_basis(d, 4)) == 4
+    assert d.hilbert_series().expand(4)[4] == len(monomial_basis(d, 4)) == 4
 
 
 def test_hilbert_matches_enumeration_all_64():
     for cm in all_sign_matrices():
         a = SignAlgebra(3, cm.square_zero_set(), cm.commuting_pairs())
-        coeffs = hilbert_series(a).expand(10)
+        coeffs = a.hilbert_series().expand(10)
         for deg in range(11):
             assert coeffs[deg] == len(monomial_basis(a, deg))
 
@@ -223,8 +222,8 @@ def test_hilbert_matches_enumeration_all_64():
 def test_hilbert_duality_product_is_one():
     for cm in all_sign_matrices():
         a = SignAlgebra(3, cm.square_zero_set(), cm.commuting_pairs())
-        sa = hilbert_series(a)
-        sd = hilbert_series(quadratic_dual(a))
+        sa = a.hilbert_series()
+        sd = quadratic_dual(a).hilbert_series()
         ca = sa.expand(10)
         cd = sd.expand(10)
         # product sa(z) * sd(-z) = 1 up to degree 10

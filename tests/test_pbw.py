@@ -4,7 +4,7 @@ import pytest
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
-from colorlie.dual import enveloping_sign_algebra, hilbert_series
+from colorlie.dual import enveloping_sign_algebra
 from colorlie.pbw import (QuadLinRelation, deglex_key, groebner_check,
                           normal_words, reduce_word, uea_relations, word_str)
 from colorlie.scalars import ONE, Scalar, ZERO
@@ -116,14 +116,14 @@ def test_normal_words_case10_abelianization():
     g = catalog.load(10, Fraction(2)).associated_abelian()
     rels = uea_relations(g)
     words = normal_words(rels, 2, n=3)
-    counts = hilbert_series(enveloping_sign_algebra(g)).expand(2)
+    counts = enveloping_sign_algebra(g).hilbert_series().expand(2)
     assert len(words) == counts[2] == 4
 
 
 def test_normal_word_counts_match_hilbert_all_diagonals():
     for g, q in catalog.abelian_family():
         rels = uea_relations(g)
-        series = hilbert_series(enveloping_sign_algebra(g)).expand(10)
+        series = enveloping_sign_algebra(g).hilbert_series().expand(10)
         for d in range(11):
             assert len(normal_words(rels, d, n=3)) == series[d], (q, d)
 
