@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .linalg import echelon_span
-from .scalars import Scalar, ZERO, scalar_simplify
+from .scalars import Scalar, ZERO, as_scalar
 
 
 class CommutationMatrix:
@@ -160,7 +160,7 @@ class ColorLieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (0 <= i <= j < self.n):
                 raise IndexError("bracket index out of range: (%d, %d)" % (i, j))
-            vec = tuple(scalar_simplify(c) for c in coeffs)
+            vec = tuple(as_scalar(c) for c in coeffs)
             if len(vec) != self.n:
                 raise ValueError("bracket coefficient vector must have length n")
             if any(not c.is_zero() for c in vec):
@@ -265,64 +265,3 @@ class ColorLieAlgebra:
             for ij, vec in self.brackets.items()
         }
         return ColorLieAlgebra(self.cm, brackets, grading=self.grading)
-
-    def rescaled(self, factors):
-        """Rescale e_i -> lambda_i e_i; Betti numbers are invariant."""
-        factors = [scalar_simplify(f) for f in factors]
-        brackets = {}
-        for (i, j), vec in self.brackets.items():
-            brackets[(i, j)] = tuple(factors[i] * factors[j] * c / factors[k]
-                                     for k, c in enumerate(vec))
-        return ColorLieAlgebra(self.cm, brackets, grading=self.grading)
-
-    def two_component_reduction(self):
-        """Classification of algebras with at most two nonzero homogeneous
-        components: abelian, an ordinary Lie algebra, or a Lie superalgebra;
-        not_applicable with three or more components."""
-        if self.grading is None:
-            raise ValueError("two_component_reduction requires a grading assignment")
-        comps = {}
-        for i in range(self.n):
-            comps.setdefault(self.grading.degrees[i], []).append(i)
-        if len(comps) > 2:
-            return "not_applicable"
-        if self.is_abelian():
-            return "abelian"
-        zero = (0,) * self.grading.m
-        if zero in comps:
-            # 0-component present: eps(0, .) = 1, so the sign of eps(j, j)
-            # on the other component decides Lie vs super.
-            for d, gens in comps.items():
-                if d != zero:
-                    if self.cm.s[gens[0]][gens[0]] == -1:
-                        return "lie_superalgebra"
-            return "lie_algebra"
-        # Two nonzero components: <g_i, g_j> lands in components that are
-        # zero, so nonzero brackets cannot be grading-compatible; validation
-        # rejects them, and a valid algebra here is abelian.
-        return "abelian"
-
-    def restricted(self, indices):
-        """Subalgebra data on a generator subset (brackets truncated)."""
-        indices = list(indices)
-        pos = {g: a for a, g in enumerate(indices)}
-        cm = CommutationMatrix([[self.cm.s[i][j] for j in indices] for i in indices])
-        brackets = {}
-        for (i, j), vec in self.brackets.items():
-            if i in pos and j in pos:
-                newvec = [ZERO] * len(indices)
-                keep = True
-                for k, c in enumerate(vec):
-                    if c.is_zero():
-                        continue
-                    if k in pos:
-                        newvec[pos[k]] = c
-                    else:
-                        keep = False
-                if keep and any(not c.is_zero() for c in newvec):
-                    brackets[(pos[i], pos[j])] = tuple(newvec)
-        grading = None
-        if self.grading is not None:
-            grading = GradingAssignment([self.grading.degrees[i] for i in indices])
-        return ColorLieAlgebra(cm, brackets, grading=grading)
-

@@ -4,7 +4,7 @@ Lie algebras with injective commutation factor, plus the abelian family.
 Parameterized entries (1, 6, 10) store the parameter as the symbol t in the
 structure constants; load(id, mu) substitutes an engine-side value.  The
 classification normal form and the engine use reciprocal parameter
-conventions: expected_betti takes the classification-side value, and the
+conventions: expected_series takes the classification-side value, and the
 engine structure constant matching it is its reciprocal (engine_parameter;
 the table report records the direction).
 
@@ -74,7 +74,6 @@ _ENTRIES = {
 }
 
 ALL_IDS = tuple(sorted(_ENTRIES))
-PARAMETERIZED_IDS = (1, 6, 10)
 
 
 def entry(table1_id):
@@ -102,15 +101,6 @@ def load(table1_id, mu=None):
         raise AssertionError("catalog entry %d failed validation: %s"
                              % (table1_id, report))
     return g
-
-
-def graph_data(table1_id):
-    """Derived graph: loops at square-zero generators, edges between
-    anticommuting pairs."""
-    s = _ENTRIES[table1_id].signs
-    loops = [i for i in range(3) if s[i][i] == -1]
-    edges = [(i, j) for i in range(3) for j in range(i + 1, 3) if s[i][j] == -1]
-    return loops, edges
 
 
 _ABELIAN_PATTERNS = [
@@ -208,11 +198,6 @@ def _one_minus_z_pow(r):
 
 def _is_value(mu):
     return mu is not None and mu != GENERIC
-
-
-def expected_betti(table1_id, mu, nmax):
-    """Expansion of the classified series to degree nmax."""
-    return expected_series(table1_id, mu).expand(nmax)
 
 
 def parameter_samples(table1_id):

@@ -11,11 +11,8 @@ from .linalg import echelon_span, image_basis  # noqa: F401
 
 
 class BettiTable:
-    def __init__(self, label, parameter, h):
-        self.label = label
-        self.parameter = parameter
+    def __init__(self, h):
         self.h = list(h)
-        self.max_degree = len(self.h) - 1
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple)):
@@ -23,7 +20,7 @@ class BettiTable:
         return isinstance(other, BettiTable) and self.h == other.h
 
     def __repr__(self):
-        return "BettiTable(%r, %s)" % (self.label, self.h)
+        return "BettiTable(%s)" % self.h
 
 
 class CohomologyClass:
@@ -38,17 +35,16 @@ class CohomologyClass:
         return "CohomologyClass(%d, %s)" % (self.degree, self.representative)
 
 
-def betti(g, nmax, label=None, parameter=None):
+def betti(g, nmax):
     """h_n = nullity(d_n) - rank(d_{n-1}) for n <= nmax, exact integers."""
-    d = differential_from_brackets(g)
-    return betti_from_differential(d, nmax, label=label, parameter=parameter)
+    return betti_from_differential(differential_from_brackets(g), nmax)
 
 
-def betti_from_differential(d, nmax, label=None, parameter=None):
+def betti_from_differential(d, nmax):
     if all(el.is_zero() for el in d.on_generators):
         # zero differential: h_n is the component dimension
         h = [len(monomial_basis(d.algebra, n)) for n in range(nmax + 1)]
-        return BettiTable(label, parameter, h)
+        return BettiTable(h)
     h = []
     prev_rank = 0
     for n in range(nmax + 1):
@@ -57,13 +53,7 @@ def betti_from_differential(d, nmax, label=None, parameter=None):
         nullity = dn.matrix.cols - rk
         h.append(nullity - prev_rank)
         prev_rank = rk
-    return BettiTable(label, parameter, h)
-
-
-def h1_dimension_check(g):
-    """h_1 = n - dim [g, g]."""
-    table = betti(g, 1)
-    return table.h[1] == g.n - g.derived_dimension()[0]
+    return BettiTable(h)
 
 
 def _vector(element, basis_index):

@@ -62,8 +62,10 @@ class Differential:
                         rho *= algebra.anticommute_sign(j, k)
                 terms.append((m, c, rho))
             self._terms.append(terms)
-        # degree -> DifferentialMatrix; nothing writes to a built matrix
+        # degree -> DifferentialMatrix, degree -> monomial basis; nothing
+        # writes to a built matrix or basis
         self._matrices = {}
+        self._bases = {}
 
     def has_parameter(self):
         return any(c.depends_on_param()
@@ -116,13 +118,19 @@ class Differential:
             out = out + self.apply_monomial(mono).scale(c)
         return out
 
+    def _basis(self, n):
+        if n not in self._bases:
+            self._bases[n] = monomial_basis(self.algebra, n)
+        return self._bases[n]
+
     def matrix(self, n):
         """Matrix of d on monomial_basis(n), columns indexed by the basis;
-        built once per degree and shared by every caller, so read-only."""
+        built once per degree and shared by every caller, so read-only.
+        matrix(n).row_basis is matrix(n + 1).col_basis."""
         if n in self._matrices:
             return self._matrices[n]
-        cols = monomial_basis(self.algebra, n)
-        rows = monomial_basis(self.algebra, n + 1)
+        cols = self._basis(n)
+        rows = self._basis(n + 1)
         index = {m: i for i, m in enumerate(rows)}
         mat = ExactMatrix(len(rows), len(cols), field=self.field())
         for j, mono in enumerate(cols):

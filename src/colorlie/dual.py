@@ -9,7 +9,7 @@ the exponent vectors.
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, ZERO, scalar_simplify
+from .scalars import ONE, ZERO, as_scalar
 from .series import RationalSeries
 
 
@@ -123,8 +123,7 @@ class DgaElement:
         self.coeffs = {}
         if coeffs:
             for mono, c in coeffs.items():
-                if not isinstance(c, Scalar):
-                    c = scalar_simplify(c)
+                c = as_scalar(c)
                 if not c.is_zero():
                     self.coeffs[tuple(mono)] = c
 
@@ -167,7 +166,7 @@ class DgaElement:
         return self + (-other)
 
     def scale(self, c):
-        c = scalar_simplify(c)
+        c = as_scalar(c)
         if c.is_zero():
             return DgaElement(self.algebra)
         return DgaElement(self.algebra, {m: c * x for m, x in self.coeffs.items()})

@@ -56,6 +56,8 @@ def parse_algebra_text(text):
         elif head == "signs":
             if dim is None:
                 raise AlgebraFileError("signs before dim")
+            if signs is not None:
+                raise AlgebraFileError("signs declared twice")
             signs = []
             for _ in range(dim):
                 if pos >= len(lines):
@@ -85,12 +87,20 @@ def parse_algebra_text(text):
                 brackets[(i, j)] = tuple(parse_scalar(toktext) for toktext in vec)
             except ScalarParseError as exc:
                 raise AlgebraFileError(str(exc)) from exc
+            except ZeroDivisionError:
+                raise AlgebraFileError("division by zero in %r" % line) from None
         elif head == "param":
+            if param is not None:
+                raise AlgebraFileError("param declared twice")
             param = _param(rest.strip())
         elif head == "grading":
             left, _, bits = rest.partition(":")
             i = _int(left.strip(), line) - 1
-            gradings[i] = tuple(_int(b, line) for b in bits.split())
+            if i in gradings:
+                raise AlgebraFileError("grading %d declared twice" % (i + 1))
+            if any(b not in ("0", "1") for b in bits.split()):
+                raise AlgebraFileError("grading bits must be 0 or 1: %r" % line)
+            gradings[i] = tuple(int(b) for b in bits.split())
         else:
             raise AlgebraFileError("unknown directive %r" % line)
     if dim is None or signs is None:

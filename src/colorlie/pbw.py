@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, Scalar, ZERO, scalar_simplify
+from .scalars import ONE, Scalar, ZERO, as_scalar
 
 Word = tuple  # tuple of generator indices
 
@@ -25,8 +25,8 @@ class QuadLinRelation:
     leading coefficient normalized to 1."""
 
     def __init__(self, quadratic, linear):
-        quad = {w: scalar_simplify(c) for w, c in quadratic.items()
-                if not scalar_simplify(c).is_zero()}
+        # a zero int, Fraction or Scalar is falsy
+        quad = {w: as_scalar(c) for w, c in quadratic.items() if c}
         if not quad:
             raise ValueError("relation must have a quadratic part")
         for w in quad:
@@ -36,8 +36,7 @@ class QuadLinRelation:
         inv = ONE / quad[lead]
         self.lead = lead
         self.quadratic = {w: c * inv for w, c in quad.items()}
-        self.linear = {k: scalar_simplify(c) * inv for k, c in linear.items()
-                       if not scalar_simplify(c).is_zero()}
+        self.linear = {k: as_scalar(c) * inv for k, c in linear.items() if c}
 
     def rewrite_rhs(self):
         """lead = -(other quadratic terms) - (linear part)."""
@@ -101,8 +100,7 @@ def reduce_word(element, rels):
         raise ValueError("relations must have distinct leading monomials")
     if isinstance(element, tuple):
         element = {element: ONE}
-    todo = {w: scalar_simplify(c) for w, c in element.items()
-            if not scalar_simplify(c).is_zero()}
+    todo = {w: as_scalar(c) for w, c in element.items() if c}
     normal = {}
     while todo:
         w = max(todo, key=deglex_key)

@@ -42,12 +42,6 @@ def psub(a, b):
     return padd(a, pneg(b))
 
 
-def pscale(a, c):
-    if c == 0:
-        return PZERO
-    return tuple(x * c for x in a)
-
-
 def pmul(a, b):
     if not a or not b:
         return PZERO
@@ -183,7 +177,7 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = as_scalar(other)
         a, b = self.num, other.num
         if len(a) < 2 and len(b) < 2 and len(self.den) == 1 == len(other.den):
             return _rational((a[0] if a else F0) + (b[0] if b else F0))
@@ -198,13 +192,13 @@ class Scalar:
         return Scalar(pneg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-as_scalar(other))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return as_scalar(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = as_scalar(other)
         a, b = self.num, other.num
         if not a or not b:
             return ZERO
@@ -217,7 +211,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other = as_scalar(other)
         a, b = self.num, other.num
         if not b:
             raise ZeroDivisionError("division by zero")
@@ -228,7 +222,7 @@ class Scalar:
         return Scalar(pmul(a, other.den), pmul(self.den, b))
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return as_scalar(other) / self
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -274,7 +268,10 @@ def _rational(q):
     return Scalar((q,), PONE, _canonical=True) if q else ZERO
 
 
-def _coerce(x):
+def as_scalar(x):
+    """x as a Scalar: a Scalar is returned unchanged (it is canonical from
+    construction), an int or Fraction is converted, anything else raises
+    TypeError."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
@@ -285,13 +282,6 @@ def _coerce(x):
 ZERO = Scalar(PZERO, PONE, _canonical=True)
 ONE = Scalar(PONE, PONE, _canonical=True)
 T = Scalar.param()
-
-
-def scalar_simplify(s):
-    """Recanonicalize a scalar (num/den coprime, den monic, positive rational den)."""
-    if isinstance(s, Scalar):
-        return Scalar(s.num, s.den)
-    return _coerce(s)
 
 
 # -- text grammar -----------------------------------------------------

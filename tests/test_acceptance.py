@@ -239,7 +239,7 @@ def test_criterion_9_series_recognizer():
     # no inconclusive outcome on catalog data at the acceptance samples
     for i in catalog.ALL_IDS:
         for mu in catalog.parameter_samples(i):
-            seq = catalog.expected_betti(i, mu, 40)
+            seq = catalog.expected_series(i, mu).expand(40)
             rec = recognize(seq)
             if rec is None:
                 failures.append("inconclusive on catalog row %s (mu=%s)"

@@ -103,14 +103,36 @@ CASE3_SIGNS = "signs\n+1 -1 -1\n-1 +1 -1\n-1 -1 +1\n"
     ("bracket 1 2 : 0 0 1\ndim 3\n" + CASE3_SIGNS, "bracket before dim"),
     ("dim 3\n" + CASE3_SIGNS + "bracket 1 2 : 0 0 1\nbracket 1 2 : 0 0 2\n",
      "bracket 1 2 declared twice"),
+    ("dim 3\n" + CASE3_SIGNS + "signs\n+1 +1 +1\n+1 +1 +1\n+1 +1 +1\n",
+     "signs declared twice"),
+    ("dim 3\n" + CASE3_SIGNS + "param 2\nparam 3\n", "param declared twice"),
+    ("dim 3\n" + CASE3_SIGNS + "grading 1 : 1 1\ngrading 1 : 1 0\n",
+     "grading 1 declared twice"),
+    ("dim 3\n" + CASE3_SIGNS + "grading 1 : 3 1\n",
+     "grading bits must be 0 or 1"),
+    ("dim 3\n" + CASE3_SIGNS + "bracket 1 2 : 0 1/0 0\n", "division by zero"),
+    ("dim 3\n" + CASE3_SIGNS + "bracket 1 2 : 0 t/(t-t) 0\n",
+     "division by zero"),
 ], ids=["negative-dim", "zero-dim", "second-dim", "bracket-before-dim",
-        "repeated-bracket"])
+        "repeated-bracket", "second-signs", "second-param", "repeated-grading",
+        "grading-bit-3", "zero-denominator", "zero-denominator-in-t"])
 def test_malformed_document_exit_code(tmp_path, capsys, text, reason):
     path = tmp_path / "malformed.txt"
     path.write_text(text, encoding="utf-8")
     assert cli.main(["check", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and reason in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and reason in captured.err
+
+
+def test_param_at_a_pole_is_evaluation_error(tmp_path, capsys):
+    path = tmp_path / "pole.txt"
+    path.write_text("dim 3\nsigns\n+1 +1 +1\n+1 -1 +1\n+1 +1 -1\n"
+                    "bracket 1 2 : 0 1/(t-2) 0\nbracket 1 3 : 0 0 1\n",
+                    encoding="utf-8")
+    assert cli.main(["cohomology", str(path), "--param", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "evaluation error: " in captured.err
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -4,8 +4,8 @@ from fractions import Fraction
 from conftest import coeff_vectors, spans_equal
 
 from colorlie import catalog
-from colorlie.cohomology import (betti, cup_product, h1_dimension_check,
-                                 representatives,
+from colorlie.algebra import ColorLieAlgebra
+from colorlie.cohomology import (betti, cup_product, representatives,
                                  representatives_from_differential)
 from colorlie.differential import differential_from_brackets
 from colorlie.dual import DgaElement, monomial_basis, multiply
@@ -41,12 +41,6 @@ def test_h0_is_one_everywhere():
         assert betti(catalog.load(i, mu), 0).h[0] == 1
 
 
-def test_h1_dimension_check_catalog():
-    for i in catalog.ALL_IDS:
-        mu = Fraction(-1, 2) if catalog.entry(i).parameterized else None
-        assert h1_dimension_check(catalog.load(i, mu)), i
-
-
 def test_h1_examples():
     assert betti(catalog.load(2), 1).h[1] == 2
     assert betti(catalog.load(3), 1).h[1] == 0
@@ -62,11 +56,16 @@ def test_abelian_betti_matches_closed_form():
 def test_betti_invariant_under_rescaling():
     rng = random.Random(3)
     pool = [Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-5, 2)]
-    for i in (1, 3, 7, 10, 13):
-        mu = Fraction(-2) if catalog.entry(i).parameterized else None
-        g = catalog.load(i, mu)
-        factors = [rng.choice(pool) for _ in range(3)]
-        assert betti(g.rescaled(factors), 6).h == betti(g, 6).h, (i, factors)
+    for row in (1, 3, 7, 10, 13):
+        mu = Fraction(-2) if catalog.entry(row).parameterized else None
+        g = catalog.load(row, mu)
+        lam = [rng.choice(pool) for _ in range(3)]
+        # e_i -> lam_i e_i turns c_ij^k into c_ij^k lam_i lam_j / lam_k
+        brackets = {(i, j): tuple(c * (lam[i] * lam[j] / lam[k])
+                                  for k, c in enumerate(vec))
+                    for (i, j), vec in g.brackets.items()}
+        rescaled = ColorLieAlgebra(g.cm, brackets, grading=g.grading)
+        assert betti(rescaled, 6).h == betti(g, 6).h, (row, lam)
 
 
 def test_euler_characteristic_finite_duals():

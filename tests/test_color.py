@@ -220,43 +220,6 @@ def test_grading_check_invariant_under_permutation():
         assert permuted.validate().ok
 
 
-def test_two_component_reduction_degree_zero():
-    cm = CommutationMatrix(((1, 1, 1),) * 3)
-    grading = GradingAssignment([(0,), (0,), (0,)])
-    g = ColorLieAlgebra(cm, {(0, 1): (ZERO, ZERO, ONE)}, grading=grading)
-    assert g.validate().ok
-    assert g.two_component_reduction() == "lie_algebra"
-
-
-def test_two_component_reduction_superalgebra():
-    cm = CommutationMatrix(((1, 1), (1, -1)))
-    grading = GradingAssignment([(0,), (1,)])
-    g = ColorLieAlgebra(cm, {(0, 1): (ZERO, ONE)}, grading=grading)
-    assert g.validate().ok
-    assert g.two_component_reduction() == "lie_superalgebra"
-
-
-def test_two_component_reduction_forced_abelian():
-    # two nonzero components: any bracket would land in a zero component
-    cm = CommutationMatrix(((1, 1), (1, 1)))
-    grading = GradingAssignment([(1, 0), (0, 1)])
-    g = ColorLieAlgebra(cm, {}, grading=grading)
-    assert g.two_component_reduction() == "abelian"
-    bad = ColorLieAlgebra(cm, {(0, 1): (ONE, ZERO)}, grading=grading)
-    assert not bad.validate().ok
-
-
-def test_two_component_reduction_not_applicable():
-    g = catalog.load(5)
-    assert g.two_component_reduction() == "not_applicable"
-
-
-def test_two_component_reduction_requires_grading():
-    g = ColorLieAlgebra(CommutationMatrix(((1,),)), {})
-    with pytest.raises(ValueError):
-        g.two_component_reduction()
-
-
 def test_full_bracket_skew_for_all_catalog_entries():
     for i in catalog.ALL_IDS:
         mu = Fraction(-2) if catalog.entry(i).parameterized else None

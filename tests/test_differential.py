@@ -69,6 +69,17 @@ def test_matrix_case8_degree2_rank1():
     assert rank(d.matrix(2).matrix) == 1
 
 
+def test_matrices_share_one_basis_per_degree():
+    # built upwards (as betti does) and downwards (as representatives does)
+    for degrees in (range(7), range(6, -1, -1)):
+        d = differential_from_brackets(catalog.load(13))
+        for n in degrees:
+            d.matrix(n)
+        for n in range(6):
+            assert d.matrix(n).row_basis is d.matrix(n + 1).col_basis
+            assert d.matrix(n).col_basis == monomial_basis(d.algebra, n)
+
+
 def test_image_case5_is_f1f2_line():
     from colorlie.linalg import image_basis
     d = differential_from_brackets(catalog.load(5))

@@ -94,9 +94,13 @@ def test_scalar_field_axioms(x, y, z):
     assert x * y == y * x
     assert x * ONE == x
     assert x * (y + z) == x * y + x * z
+    for s in (x + y, x - y, x * y):
+        _assert_canonical(s)
     if not x.is_zero():
         assert x * (ONE / x) == ONE
         assert (y / x) * x == y
+        _assert_canonical(y / x)
+        _assert_canonical(ONE / x)
 
 
 def _assert_canonical(s):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from colorlie.scalars import (ONE, Scalar, ScalarParseError, T, ZERO,
-                              parse_scalar, scalar_simplify)
+                              as_scalar, parse_scalar)
 
 
 def frac(a, b=1):
@@ -31,9 +31,15 @@ def test_division_by_zero():
 
 
 def test_simplify_idempotent():
+    # a Scalar is canonical from construction, so coercion returns it as is
     s = (frac(6) * T) / frac(4)
-    assert scalar_simplify(s) == s
+    assert as_scalar(s) is s
     assert s == frac(3, 2) * T
+    assert as_scalar(3) == frac(3)
+    assert as_scalar(Fraction(-1, 2)) == frac(-1, 2)
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError):
+            as_scalar(bad)
 
 
 def test_substitute_and_pole():
