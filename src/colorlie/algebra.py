@@ -83,11 +83,13 @@ class GradingAssignment:
     """Z_2^m degrees for the generators, with a certifying bilinear form."""
 
     def __init__(self, degrees):
-        self.degrees = tuple(tuple(int(b) & 1 for b in d) for d in degrees)
+        self.degrees = tuple(tuple(d) for d in degrees)
         self.m = len(self.degrees[0]) if self.degrees else 0
         for d in self.degrees:
             if len(d) != self.m:
                 raise ValueError("grading bit-vectors must share one length")
+            if any(b not in (0, 1) for b in d):
+                raise ValueError("grading bits must be 0 or 1: %r" % (d,))
 
     def find_form(self, cm):
         """A bilinear form B with s[i][j] = (-1)^(d_i B d_j), or None.

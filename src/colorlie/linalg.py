@@ -9,7 +9,7 @@ image bases depend only on the span, not on the order of elimination.
 
 from __future__ import annotations
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, ZERO, as_scalar
 
 FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
@@ -35,8 +35,7 @@ class ExactMatrix:
         return self.columns[ij[1]].get(ij[0], ZERO)
 
     def __setitem__(self, ij, v):
-        if not isinstance(v, Scalar):
-            v = Scalar.from_fraction(v)
+        v = as_scalar(v)
         if self.field == FIELD_Q and v.depends_on_param():
             raise MixedScalarKindError(
                 "parameter-dependent entry %s in a rational matrix" % v)
@@ -113,9 +112,12 @@ def insert(rows, v):
     """Add a nonzero residue v (zero on every pivot) to the reduced echelon
     rows {pivot: row} in place, keeping them reduced."""
     p = min(v)
-    inv = ONE / v[p]
-    if inv != ONE:
-        v = {i: x * inv for i, x in v.items()}
+    # the scaled pivot is ONE, so only the other entries need arithmetic
+    if len(v) == 1:
+        v = {p: ONE}
+    elif v[p] != ONE:
+        inv = ONE / v[p]
+        v = {i: ONE if i == p else x * inv for i, x in v.items()}
     # a row with an entry at p has its pivot below p, and every entry of
     # v lies at or above p, so that pivot stays the row's smallest index
     for row in rows.values():

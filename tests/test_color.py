@@ -161,6 +161,13 @@ def test_grading_assignment_incompatible():
     assert not ga.is_compatible(cm)
 
 
+@pytest.mark.parametrize("degrees", [[(3, 1), (2, 0)], [(1, 0), (0, -1)],
+                                     [("1", "0"), ("0", "1")]])
+def test_grading_assignment_rejects_bits_other_than_0_and_1(degrees):
+    with pytest.raises(ValueError):
+        GradingAssignment(degrees)
+
+
 def test_find_form_matches_exhaustive_search():
     rng = random.Random(20261018)
     sign_matrices = [

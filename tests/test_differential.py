@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import COEFF_POOL
 from letterwise import letterwise_apply, word
 
@@ -198,6 +199,33 @@ def test_leibniz_contract_on_word_splits():
                 part = multiply(xe, partials[k].apply(ye))
                 rhs = rhs + (part if sign == 1 else -part)
             assert lhs == rhs, (i, m, cut)
+
+
+CALIBRATED_SIGN = pytest.mark.xfail(
+    strict=True, reason="calibrated sign, ROADMAP item 1")
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(i, marks=CALIBRATED_SIGN) if i in (10, 13, 15) else i
+    for i in catalog.ALL_IDS])
+def test_leibniz_rule_on_basis_monomials(row):
+    """d(x*y) = d(x)*y + (-1)^|x| x*d(y) for all basis monomials x, y with
+    |x| <= 3 and |x| + |y| <= 4, at every parameter sample of the row."""
+    failures = []
+    for mu in catalog.parameter_samples(row):
+        d = differential_from_brackets(
+            catalog.load(row, catalog.engine_parameter(mu)))
+        basis = [[DgaElement(d.algebra, {m: ONE})
+                  for m in monomial_basis(d.algebra, n)] for n in range(5)]
+        for a in range(4):
+            for b in range(5 - a):
+                for x in basis[a]:
+                    for y in basis[b]:
+                        xdy = multiply(x, d.apply(y))
+                        rhs = multiply(d.apply(x), y) + (-xdy if a % 2 else xdy)
+                        if d.apply(multiply(x, y)) != rhs:
+                            failures.append((mu, x, y))
+    assert not failures
 
 
 def test_gamma_degree_preserved():

@@ -6,9 +6,9 @@ from bareiss import bareiss_pivots, bareiss_rank
 from hypothesis import given, settings, strategies as st
 
 from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT,
-                             MixedScalarKindError, echelon_span, image_basis,
-                             rank, rank_kernel)
-from colorlie.scalars import ONE, Scalar, T, ZERO
+                             MixedScalarKindError, echelon, echelon_span,
+                             image_basis, rank, rank_kernel)
+from colorlie.scalars import ONE, PONE, Scalar, T, ZERO
 
 
 def M(rows, field=None):
@@ -154,6 +154,41 @@ def test_zeros_are_not_stored():
     m[0, 0] = 0
     assert m.columns == [{}, {1: Scalar.from_fraction(2)}]
     assert m.data == [[ZERO, ZERO], [ZERO, Scalar.from_fraction(2)]]
+
+
+def test_setitem_rejects_floats_and_strings():
+    m = ExactMatrix(1, 1)
+    with pytest.raises(TypeError):
+        m[0, 0] = 0.1
+    with pytest.raises(TypeError):
+        m[0, 0] = "1/2"
+    assert m.columns == [{}]
+
+
+# -- the pivot is set to ONE, not computed -------------------------------
+
+@pytest.mark.parametrize("x", [Scalar.from_fraction(3), T / (T + ONE)])
+def test_single_entry_pivot_is_canonical_one(x):
+    rows = echelon([{2: x}])
+    assert rows == {2: {2: ONE}}
+    pivot = rows[2][2]
+    assert pivot.num == PONE and pivot.den == PONE
+
+
+def test_two_entry_row_is_scaled_by_its_pivot():
+    x, y = T / (T + ONE), T * T - ONE
+    rows = echelon([{1: x, 4: y}])
+    assert rows == {1: {1: ONE, 4: y / x}}
+    assert rows[1][1].num == PONE and rows[1][1].den == PONE
+    assert rows[1][4] == (T + ONE) * (T * T - ONE) / T
+
+
+def test_rank_kernel_of_diagonal_qt_matrix_with_zero_column():
+    m = M([[T, 0, 0], [0, 0, 0], [0, 0, ONE / (T - ONE)]], field=FIELD_QT)
+    rk, kernel = rank_kernel(m)
+    assert rk == 2
+    assert kernel == [{1: ONE}]
+    assert echelon(m.columns) == {0: {0: ONE}, 2: {2: ONE}}
 
 
 def test_product_and_zero_test():
