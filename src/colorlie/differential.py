@@ -14,27 +14,34 @@ on catalog row 10 at mu = 3, -3, 1/2 it disagrees with the independent
 cochain oracle in the tests; neither side is patched.)
 
 The engine evaluates that sum in closed form on the exponent vector a of
-f^a = f_1^a_1 ... f_n^a_n.  The a_k letters f_k of the word sit in one
-block; moving a term c f^m of d f_k from the r-th to the (r+1)-th of them
-multiplies its summand by
-
-    rho = eps(f_k, f_k) * prod_{j != k} tau(j, k)^m_j,
-
-where tau is the dual algebra's transposition sign.  The block therefore
-sums to [a_k]_rho times its first summand, with [a]_1 = a and
-[a]_{-1} = a mod 2, and
+f^a = f_1^a_1 ... f_n^a_n.  Let flip(i, j) = 1 when f_i and f_j
+anticommute in the dual algebra.  For a term c f^m of d f_k, left_i =
+sum_{j<i} flip(j, i) m_j and right_i = sum_{j>i} flip(i, j) m_j count the
+letters of f^m that anticommute with f_i and sort before or after it.  The
+a_k letters f_k of the word sit in one block; moving the term from the r-th
+to the (r+1)-th of them multiplies its summand by rho = eps(f_k, f_k)
+(-1)^(left_k + right_k).  The block therefore sums to [a_k]_rho times its
+first summand, with [a]_1 = a and [a]_{-1} = a mod 2, and
 
     d(f^a) = sum_k sum_{c f^m in d f_k}
-             c sigma_k s_1 s_2 [a_k]_rho f^(a - e_k + m),
+             c sigma_k s_1 s_2 [a_k]_rho f^(a - e_k + m).
 
-where sigma_k = prod_{i<k} eps(f_i, f_k)^a_i is the prefix sign of the first
-f_k and s_1, s_2 are the sorting signs of f^(a_<k) * f^m and of that
-product times f_k^(a_k - 1) f^(a_>k) in the dual sign algebra (0 when a
-square cap is exceeded).  The arithmetic is exact, so this is the letterwise
-sum regrouped, with one term per (generator, term of d f_k); the tests keep
-the letterwise sum as the reference.  When the brackets respect the grading
-(eps(f_k, .) = eps(f_i, .) eps(f_j, .) on every occupied slot), rho = +1
-whenever a_k >= 2; only brackets that break the grading reach a mod 2.
+Here sigma_k = (-1)^(sum_{i<k} a_i [eps(f_i, f_k) = -1]) is the prefix
+sign of the first f_k.  Sorting f^m into f^(a_<k) moves each letter f_j of
+m past the letters f_i with j < i < k, so s_1 = (-1)^(sum_{i<k} a_i
+left_i).  Sorting f_k^(a_k - 1) f^(a_>k) in after them moves each of its
+letters f_j past the letters f_i, i > j, of m only, so s_2 =
+(-1)^((a_k - 1) right_k + sum_{j>k} a_j right_j).  So the sign is affine
+over F_2 in the parities of a: sigma_k s_1 s_2 = (-1)^(u + <a mod 2, w>),
+with w_i = left_i + [eps(f_i, f_k) = -1] for i < k, w_i = right_i for
+i >= k and u = right_k, all mod 2.  The term is 0 when a - e_k + m exceeds
+a square cap; exponents only grow, so no earlier product needs the check.
+The constructor tabulates (k, m - e_k, c, rho, w, u) once per term.
+
+This is the letterwise sum regrouped, which the tests keep as the
+reference.  When the brackets respect the grading (eps(f_k, .) = eps(f_i, .)
+eps(f_j, .) on every occupied slot), rho = +1 whenever a_k >= 2; only
+brackets that break the grading reach a mod 2.
 """
 
 from __future__ import annotations
@@ -51,17 +58,24 @@ class Differential:
         for el in self.on_generators:
             if not el.is_zero() and el.degree() != 2:
                 raise ValueError("d of a generator must be homogeneous of degree 2")
-        # per generator k: the terms (m, c, rho) of d f_k
+        n = algebra.n
+        flip = [[i != j and algebra.anticommute_sign(i, j) == -1
+                 for j in range(n)] for i in range(n)]
+        # one entry (k, m - e_k, c, rho, w as a bitmask, u) per term of d f_k
         self._terms = []
         for k, el in enumerate(self.on_generators):
-            terms = []
             for m, c in el.coeffs.items():
-                rho = cm.s[k][k]
-                for j, e in enumerate(m):
-                    if j != k and e % 2:
-                        rho *= algebra.anticommute_sign(j, k)
-                terms.append((m, c, rho))
-            self._terms.append(terms)
+                left = [sum(m[j] for j in range(i) if flip[j][i])
+                        for i in range(n)]
+                right = [sum(m[j] for j in range(i + 1, n) if flip[i][j])
+                         for i in range(n)]
+                rho = cm.s[k][k] * (-1) ** (left[k] + right[k])
+                w = 0
+                for i in range(n):
+                    bit = left[i] + (cm.s[i][k] == -1) if i < k else right[i]
+                    w |= bit % 2 << i
+                shift = tuple(e - (j == k) for j, e in enumerate(m))
+                self._terms.append((k, shift, c, rho, w, right[k] % 2))
         # degree -> DifferentialMatrix, degree -> monomial basis; nothing
         # writes to a built matrix or basis
         self._matrices = {}
@@ -76,38 +90,26 @@ class Differential:
 
     def apply_monomial(self, mono):
         """d of one basis monomial, by the closed form on exponent vectors."""
-        alg = self.algebra
-        n = alg.n
-        s = self.cm.s
+        capped = self.algebra.square_zero
+        odd = sum(a % 2 << i for i, a in enumerate(mono))
         acc = {}
-        for k, a_k in enumerate(mono):
-            if not a_k or not self._terms[k]:
+        for k, shift, c, rho, w, u in self._terms:
+            q = mono[k] if rho == 1 else mono[k] % 2
+            if not q:
                 continue
-            sigma = 1
-            for i in range(k):
-                if mono[i] % 2 and s[i][k] == -1:
-                    sigma = -sigma
-            head = mono[:k] + (0,) * (n - k)
-            tail = (0,) * k + (a_k - 1,) + mono[k + 1:]
-            for m, c, rho in self._terms[k]:
-                q = a_k if rho == 1 else a_k % 2
-                if not q:
-                    continue
-                s1, m1 = alg.multiply_monomials(head, m)
-                if s1 == 0:
-                    continue
-                s2, m2 = alg.multiply_monomials(m1, tail)
-                if s2 == 0:
-                    continue
-                factor = sigma * s1 * s2 * q
-                coef = c if factor == 1 else -c if factor == -1 else c * factor
-                prev = acc.get(m2)
-                total = coef if prev is None else prev + coef
-                if total.is_zero():
-                    acc.pop(m2, None)
-                else:
-                    acc[m2] = total
-        out = DgaElement(alg)
+            target = tuple(a + b for a, b in zip(mono, shift))
+            if any(target[i] > 1 for i in capped):
+                continue
+            if (u + (odd & w).bit_count()) % 2:
+                q = -q
+            coef = c if q == 1 else -c if q == -1 else c * q
+            prev = acc.get(target)
+            total = coef if prev is None else prev + coef
+            if total.is_zero():
+                acc.pop(target, None)
+            else:
+                acc[target] = total
+        out = DgaElement(self.algebra)
         out.coeffs = acc
         return out
 
@@ -133,10 +135,9 @@ class Differential:
         rows = self._basis(n + 1)
         index = {m: i for i, m in enumerate(rows)}
         mat = ExactMatrix(len(rows), len(cols), field=self.field())
-        for j, mono in enumerate(cols):
-            image = self.apply_monomial(mono)
-            for m, c in image.coeffs.items():
-                mat[index[m], j] = c
+        mat.columns = [
+            {index[m]: c for m, c in self.apply_monomial(mono).coeffs.items()}
+            for mono in cols]
         self._matrices[n] = DifferentialMatrix(n, mat, rows, cols)
         return self._matrices[n]
 
@@ -150,26 +151,21 @@ class DifferentialMatrix:
 
 
 def differential_from_brackets(g):
-    """d f_k = sum_{i<j} c_ij^k f_i f_j + sum_i c_ii^k f_i^2 on dual_of(g);
-    terms with capped squares vanish automatically."""
+    """d f_k = sum_{i<=j} c_ij^k f_i f_j on dual_of(g).  The word f_i f_j
+    with i <= j is already ascending, so every term keeps its sign; a square
+    f_i^2 vanishes when f_i is square-zero in the dual."""
     alg = dual_of(g)
     gens = []
     for k in range(g.n):
-        el = DgaElement(alg)
+        coeffs = {}
         for (i, j), vec in g.brackets.items():
-            c = vec[k]
-            if c.is_zero():
+            if i == j and i in alg.square_zero:
                 continue
             mono = [0] * g.n
             mono[i] += 1
             mono[j] += 1
-            sign, total = alg.multiply_monomials(
-                tuple(1 if t == i else 0 for t in range(g.n)),
-                tuple(1 if t == j else 0 for t in range(g.n)))
-            if sign == 0:
-                continue
-            el = el + DgaElement(alg, {tuple(mono): c if sign == 1 else -c})
-        gens.append(el)
+            coeffs[tuple(mono)] = vec[k]
+        gens.append(DgaElement(alg, coeffs))
     return Differential(alg, g.cm, gens)
 
 

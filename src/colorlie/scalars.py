@@ -303,9 +303,9 @@ def _tokenize(text):
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":  # str.isdigit also takes digits int() rejects
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("int", text[i:j]))
             i = j
@@ -385,7 +385,11 @@ def parse_scalar(text):
             v = v + w if op == "+" else v - w
         return v
 
-    out = expr()
+    try:
+        out = expr()
+    except RecursionError:
+        # nested parentheses and unary minus recurse once per level
+        raise ScalarParseError("scalar nests too deeply") from None
     if pos[0] != len(toks):
         raise ScalarParseError("trailing input in scalar %r" % text)
     return out

@@ -137,10 +137,8 @@ def recognize(seq, validation_margin=5):
     # numerator: (C * S) truncated below the LFSR length
     s = ptrim([Fraction(x) for x in seq])
     prod = pmul(c, s)
-    num = ptrim(prod[:max(L, 1)]) if L > 0 else ptrim(prod[:len(ptrim(s))] or ())
-    if L == 0:
-        # recurrence of order 0: the sequence itself is the polynomial
-        num = s
+    # a recurrence of order 0 means the sequence itself is the polynomial
+    num = ptrim(prod[:L]) if L else s
     rs = RationalSeries(num, c)
     r = len(rs.den) - 1
     if nmax - last_fit < 2 * r + validation_margin:

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from colorlie import catalog, cli, differential
-from colorlie.files import serialize_algebra
+from colorlie.files import (AlgebraFileError, parse_algebra_file,
+                            serialize_algebra)
 
 
 def run(argv, tmp_path, capsys):
@@ -123,6 +124,20 @@ def test_malformed_document_exit_code(tmp_path, capsys, text, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and reason in captured.err
+
+
+@pytest.mark.parametrize("coeff", [
+    "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "\u00b2",
+], ids=["nested-parentheses", "unary-minus-run", "superscript-digit"])
+def test_unparsable_coefficient_is_input_error(tmp_path, capsys, coeff):
+    path = tmp_path / "coeff.txt"
+    path.write_text("dim 3\n" + CASE3_SIGNS + "bracket 1 2 : 0 0 %s\n" % coeff,
+                    encoding="utf-8")
+    assert cli.main(["cohomology", str(path), "--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("input error: ")
+    with pytest.raises(AlgebraFileError):
+        parse_algebra_file(str(path))
 
 
 def test_param_at_a_pole_is_evaluation_error(tmp_path, capsys):

@@ -32,6 +32,31 @@ def test_generator_images_case7():
     assert d.on_generators[2].is_zero()
 
 
+def test_generator_images_off_grading():
+    """d f_k = sum_{i<=j} c_ij^k f_i f_j in the dual, with a bracket on every
+    slot, grading or not: the diagonal brackets at generators that are
+    square-zero in the dual drop out, and every other term keeps its sign."""
+    rng = random.Random(17)
+    capped_squares = 0
+    for i in catalog.ALL_IDS:
+        cm = CommutationMatrix(catalog.entry(i).signs)
+        brackets = {
+            (a, b): tuple(Scalar.from_fraction(rng.choice((-2, -1, 1, 2, 3)))
+                          for _ in range(cm.n))
+            for a in range(cm.n) for b in range(a, cm.n)}
+        d = differential_from_brackets(ColorLieAlgebra(cm, brackets))
+        alg = d.algebra
+        gens = [DgaElement.generator(alg, a) for a in range(alg.n)]
+        capped_squares += len(alg.square_zero)
+        for k, el in enumerate(d.on_generators):
+            expected = DgaElement(alg)
+            for (a, b), vec in brackets.items():
+                expected = expected + multiply(gens[a], gens[b]).scale(vec[k])
+            assert el == expected, (i, k)
+            assert all(m[a] <= 1 for m in el.coeffs for a in alg.square_zero)
+    assert capped_squares
+
+
 def test_abelian_differential_is_zero():
     d = differential_from_brackets(catalog.load(5).associated_abelian())
     assert all(el.is_zero() for el in d.on_generators)

@@ -69,6 +69,17 @@ def test_parse_rejects_garbage():
             parse_scalar(bad)
 
 
+def test_parse_rejects_deep_nesting_and_non_ascii_digits():
+    # the parser recurses once per parenthesis and per unary minus; "\u00b2"
+    # (superscript two) passes str.isdigit but not int()
+    for bad in ("(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1",
+                "\u00b2", "2\u00b3", "t^\u00b2"):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(bad)
+    assert parse_scalar("(" * 40 + "t" + ")" * 40) == T
+    assert parse_scalar("-" * 41 + "1/2") == frac(-1, 2)
+
+
 def test_parse_round_trip():
     for s in (frac(-7, 3), T, frac(2) * T + frac(1, 2), T * T - frac(3)):
         assert parse_scalar(str(s)) == s
