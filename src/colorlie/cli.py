@@ -136,14 +136,24 @@ def cmd_check(args, out):
         failed = True
     else:
         print("jacobi: OK", file=out)
-    ok, overlaps = groebner_check(uea_relations(g))
+    failed = not _pbw_report(g, out) or failed
+    return 1 if failed else 0
+
+
+def _pbw_report(g, out):
+    """Print the PBW verdict for U(g); returns whether it passed."""
+    try:
+        rels = uea_relations(g)
+    except ValueError as exc:
+        print("pbw: FAIL %s" % exc, file=out)
+        return False
+    ok, overlaps = groebner_check(rels)
     if ok:
         print("pbw: PASS", file=out)
     else:
         print("pbw: FAIL at overlaps %s"
               % ", ".join(word_str((a, b, c)) for a, b, c in overlaps), file=out)
-        failed = True
-    return 1 if failed else 0
+    return ok
 
 
 def _betti_and_series(g, nmax):
@@ -217,13 +227,7 @@ def cmd_hilbert(args, out):
 
 def cmd_pbw(args, out):
     g, _ = _load(args)
-    ok, overlaps = groebner_check(uea_relations(g))
-    if ok:
-        print("pbw: PASS", file=out)
-        return 0
-    print("pbw: FAIL at overlaps %s"
-          % ", ".join(word_str((a, b, c)) for a, b, c in overlaps), file=out)
-    return 1
+    return 0 if _pbw_report(g, out) else 1
 
 
 def _table_entries():

@@ -22,7 +22,9 @@ def deglex_key(w):
 
 class QuadLinRelation:
     """A relation lead + (lower quadratic terms) + (linear part) = 0 with the
-    leading coefficient normalized to 1."""
+    leading coefficient normalized to 1, held as its rewriting rule
+    lead -> rhs, where rhs is minus the other quadratic terms and the linear
+    part (a linear term v_k is the one-letter word (k,))."""
 
     def __init__(self, quadratic, linear):
         # a zero int, Fraction or Scalar is falsy
@@ -37,19 +39,8 @@ class QuadLinRelation:
         self.lead = lead
         self.quadratic = {w: c * inv for w, c in quad.items()}
         self.linear = {k: as_scalar(c) * inv for k, c in linear.items() if c}
-
-    def rewrite_rhs(self):
-        """lead = -(other quadratic terms) - (linear part)."""
-        terms = {w: -c for w, c in self.quadratic.items() if w != self.lead}
-        for k, c in self.linear.items():
-            terms[(k,)] = terms.get((k,), ZERO) - c
-        return terms
-
-    def element(self):
-        el = dict(self.quadratic)
-        for k, c in self.linear.items():
-            el[(k,)] = c
-        return el
+        self.rhs = {w: -c for w, c in self.quadratic.items() if w != lead}
+        self.rhs.update(((k,), -c) for k, c in self.linear.items())
 
     def __repr__(self):
         return "QuadLinRelation(lead=%r)" % (self.lead,)
@@ -57,28 +48,24 @@ class QuadLinRelation:
 
 def uea_relations(g):
     """Defining relations of U(g): v_i v_j - s_ij v_j v_i - <e_i, e_j> for
-    i < j, and v_i^2 - (1/2)<e_i, e_i> where s_ii = -1."""
+    i < j, and v_i^2 - (1/2)<e_i, e_i> where s_ii = -1.  A bracket <e_i, e_i>
+    with s_ii = +1 raises ValueError."""
     rels = []
     n = g.n
     half = Scalar.from_fraction(Fraction(1, 2))
     for i in range(n):
         for j in range(i, n):
-            if i == j:
-                vec = g.brackets.get((i, i))
-                if vec is None:
-                    if g.cm.s[i][i] == -1:
-                        rels.append(QuadLinRelation({(i, i): ONE}, {}))
-                    continue
-                if g.cm.s[i][i] != -1:
-                    raise ValueError(
-                        "diagonal bracket at %d with s[%d][%d] = +1" % (i, i, i))
+            if i < j:
+                sgn = Scalar.from_fraction(-g.cm.s[i][j])
+                linear = {k: -c for k, c in enumerate(g.full_bracket(i, j))}
+                rels.append(QuadLinRelation({(i, j): ONE, (j, i): sgn}, linear))
+            elif g.cm.s[i][i] == -1:
+                vec = g.brackets.get((i, i), ())
                 linear = {k: -half * c for k, c in enumerate(vec)}
                 rels.append(QuadLinRelation({(i, i): ONE}, linear))
-            else:
-                vec = g.full_bracket(i, j)
-                sgn = Scalar.from_fraction(-g.cm.s[i][j])
-                linear = {k: -c for k, c in enumerate(vec)}
-                rels.append(QuadLinRelation({(i, j): ONE, (j, i): sgn}, linear))
+            elif (i, i) in g.brackets:
+                raise ValueError(
+                    "diagonal bracket at %d with s[%d][%d] = +1" % (i, i, i))
     return rels
 
 
@@ -95,7 +82,7 @@ def reduce_word(element, rels):
     Each step replaces a leading-monomial factor by strictly smaller terms in
     the degree-lex order, so the loop terminates.
     """
-    rules = {r.lead: r.rewrite_rhs() for r in rels}
+    rules = {r.lead: r.rhs for r in rels}
     if len(rules) != len(rels):
         raise ValueError("relations must have distinct leading monomials")
     if isinstance(element, tuple):
@@ -123,39 +110,31 @@ def reduce_word(element, rels):
     return normal
 
 
-def _shift_left(element, letter):
-    return {(letter,) + w: c for w, c in element.items()}
-
-
-def _shift_right(element, letter):
-    return {w + (letter,): c for w, c in element.items()}
-
-
 def groebner_check(rels):
     """Diamond Lemma: reduce every s-polynomial of a length-3 overlap of
-    leading monomials; returns (all_zero, failing overlap words)."""
+    leading monomials; returns (all_zero, failing overlap words).
+
+    Leads have coefficient 1, so for leads (a, b) -> rhs1 and (b, c) -> rhs2
+    the two reductions of the word abc differ by a*rhs2 - rhs1*c."""
     by_lead = {r.lead: r for r in rels}
     failures = []
     for (a, b), r1 in by_lead.items():
         for (b2, c), r2 in by_lead.items():
             if b2 != b:
                 continue
-            s = {}
-            for w, coef in _shift_right(r1.element(), c).items():
-                s[w] = s.get(w, ZERO) + coef
-            for w, coef in _shift_left(r2.element(), a).items():
-                s[w] = s.get(w, ZERO) - coef
+            s = {(a,) + w: coef for w, coef in r2.rhs.items()}
+            for w, coef in r1.rhs.items():
+                wc = w + (c,)
+                s[wc] = s.get(wc, ZERO) - coef
             if reduce_word(s, rels):
                 failures.append((a, b, c))
     return not failures, failures
 
 
-def normal_words(rels, degree, n=None):
-    """All degree-d words with no leading monomial as a factor, in index-lex
-    order."""
+def normal_words(rels, degree, n):
+    """All degree-d words in n letters with no leading monomial as a factor,
+    in index-lex order."""
     leads = {r.lead for r in rels}
-    if n is None:
-        n = _ngens(rels)
     if degree == 0:
         return [()]
     words = [(i,) for i in range(n)]
@@ -163,16 +142,6 @@ def normal_words(rels, degree, n=None):
         words = [w + (i,) for w in words for i in range(n)
                  if (w[-1], i) not in leads]
     return words
-
-
-def _ngens(rels):
-    top = 0
-    for r in rels:
-        for w in r.quadratic:
-            top = max(top, max(w) + 1)
-        for k in r.linear:
-            top = max(top, k + 1)
-    return top
 
 
 def word_str(w):

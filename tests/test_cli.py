@@ -49,6 +49,26 @@ def test_check_jacobi_violation(tmp_path, capsys):
     assert "jacobi: FAIL" in out and "(1,2,3)" in out
 
 
+@pytest.mark.parametrize("command, report", [
+    ("check", "commutation: OK\n"
+              "injective: yes\n"
+              "structure: FAIL diagonal bracket (0, 0) requires s[0][0] = -1\n"
+              "structure: FAIL grading violation: c[0,0]^2 with"
+              " s[2][0] != s[0][0]*s[0][0]\n"
+              "jacobi: OK\n"
+              "pbw: FAIL diagonal bracket at 0 with s[0][0] = +1\n"),
+    ("pbw", "pbw: FAIL diagonal bracket at 0 with s[0][0] = +1\n"),
+], ids=["check", "pbw"])
+def test_diagonal_bracket_at_plus_one_fails_pbw(tmp_path, capsys, command,
+                                                report):
+    path = tmp_path / "diagonal.txt"
+    path.write_text("dim 3\nsigns\n+1 -1 -1\n-1 +1 -1\n-1 -1 +1\n"
+                    "bracket 1 1 : 0 0 1\n", encoding="utf-8")
+    assert cli.main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (report, "")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("dim 3\nsigns\n+1 nope +1\n", encoding="utf-8")

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from colorlie import catalog
+from colorlie import catalog, cli
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.dual import enveloping_sign_algebra
+from colorlie.files import serialize_algebra
 from colorlie.pbw import (QuadLinRelation, deglex_key, groebner_check,
                           normal_words, reduce_word, uea_relations, word_str)
 from colorlie.scalars import ONE, Scalar, ZERO
 
 HALF = Scalar.from_fraction(Fraction(1, 2))
+TWO = Scalar.from_fraction(Fraction(2))
 
 
 def by_lead(rels):
@@ -98,9 +100,45 @@ def test_groebner_fails_on_jacobi_mutant():
     assert (0, 1, 2) in failures
 
 
+@pytest.mark.parametrize("row, vec, failures, report", [
+    (3, (ZERO, ONE, ZERO), [(0, 1, 2)],
+     "pbw: FAIL at overlaps v1*v2*v3\n"),
+    (13, (ONE, ZERO, ZERO), [(0, 1, 1), (0, 2, 2), (1, 1, 2), (1, 2, 2)],
+     "pbw: FAIL at overlaps v1*v2^2, v1*v3^2, v2^2*v3, v2*v3^2\n"),
+], ids=["row3", "row13"])
+def test_groebner_failures_in_order(tmp_path, capsys, row, vec, failures,
+                                    report):
+    g = catalog.load(row)
+    brackets = dict(g.brackets)
+    brackets[(1, 2)] = vec
+    mutant = ColorLieAlgebra(g.cm, brackets)
+    assert groebner_check(uea_relations(mutant)) == (False, failures)
+    path = tmp_path / "mutant.txt"
+    path.write_text(serialize_algebra(mutant), encoding="utf-8")
+    assert cli.main(["pbw", str(path)]) == 1
+    assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("row", catalog.ALL_IDS)
+def test_non_unit_leading_coefficient_reduces_alike(row):
+    mu = catalog.GENERIC if catalog.entry(row).parameterized else None
+    rels = uea_relations(catalog.load(row, mu))
+    scaled = [QuadLinRelation({w: TWO * c for w, c in r.quadratic.items()},
+                              {k: TWO * c for k, c in r.linear.items()})
+              for r in rels]
+    assert groebner_check(scaled) == groebner_check(rels)
+    for word in [(0, 1, 2), (2, 1, 0), (2, 2, 1, 1, 0, 0), (1, 0, 2, 1)]:
+        assert reduce_word(word, scaled) == reduce_word(word, rels)
+
+
 def test_normal_words_degree_zero():
     rels = uea_relations(catalog.load(3))
-    assert normal_words(rels, 0) == [()]
+    assert normal_words(rels, 0, n=3) == [()]
+
+
+def test_normal_words_without_relations():
+    # a generator in no relation still counts: one letter, s = +1, no bracket
+    assert normal_words([], 2, 1) == [(0, 0)]
 
 
 def test_normal_words_heisenberg_abelianization():
