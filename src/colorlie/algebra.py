@@ -211,22 +211,23 @@ class ColorLieAlgebra:
     def validate(self):
         report = ValidationReport()
         for (i, j) in self.cm.validate():
-            report.add("sign matrix violation at (%d, %d)" % (i, j))
+            report.add("sign matrix violation at (%d, %d)" % (i + 1, j + 1))
         if not report.ok:
             return report
         s = self.cm.s
         for (i, j), vec in self.brackets.items():
             if i == j and s[i][i] != -1:
-                report.add("diagonal bracket (%d, %d) requires s[%d][%d] = -1"
-                           % (i, i, i, i))
+                report.add("diagonal bracket ({0}, {0}) requires"
+                           " s[{0}][{0}] = -1".format(i + 1))
             for k, c in enumerate(vec):
                 if c.is_zero():
                     continue
                 for l in range(self.n):
                     if s[k][l] != s[i][l] * s[j][l]:
-                        report.add("grading violation: c[%d,%d]^%d with s[%d][%d]"
-                                   " != s[%d][%d]*s[%d][%d]"
-                                   % (i, j, k, k, l, i, l, j, l))
+                        report.add(
+                            "grading violation: c[{i},{j}]^{k} with s[{k}][{l}]"
+                            " != s[{i}][{l}]*s[{j}][{l}]".format(
+                                i=i + 1, j=j + 1, k=k + 1, l=l + 1))
                         break
         if self.grading is not None:
             if not self.grading.is_compatible(self.cm):
@@ -236,11 +237,12 @@ class ColorLieAlgebra:
                 for k, c in enumerate(vec):
                     if not c.is_zero() and self.grading.degrees[k] != target:
                         report.add("bracket (%d, %d) leaves its degree component"
-                                   % (i, j))
+                                   % (i + 1, j + 1))
                         break
         if report.ok:
             for (i, j, k, _) in self.jacobi_defect():
-                report.add("Jacobi defect at (%d, %d, %d)" % (i, j, k))
+                report.add("Jacobi defect at (%d, %d, %d)"
+                           % (i + 1, j + 1, k + 1))
         return report
 
     def derived_dimension(self):

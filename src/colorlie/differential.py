@@ -36,7 +36,16 @@ over F_2 in the parities of a: sigma_k s_1 s_2 = (-1)^(u + <a mod 2, w>),
 with w_i = left_i + [eps(f_i, f_k) = -1] for i < k, w_i = right_i for
 i >= k and u = right_k, all mod 2.  The term is 0 when a - e_k + m exceeds
 a square cap; exponents only grow, so no earlier product needs the check.
-The constructor tabulates (k, m - e_k, c, rho, w, u) once per term.
+A basis monomial has a_i <= 1 at a capped i, so a - e_k + m exceeds the cap
+there exactly when m_i - [i = k] = 1 and a_i is odd: a test on the parity
+bitmask of a.  A term with m_i >= 2 at a capped i always exceeds it and is
+dropped.  The constructor tabulates (k, m - e_k, c, rho, w, u, cap mask)
+once per term.
+
+Coefficients keep the scalar type of the differential's field: over Q a
+plain rational (an int when integral, else a Fraction), over Q(t) a Scalar.
+`matrix` stores them as they are; `apply_monomial` hands them out as the
+Scalars of a DgaElement.
 
 This is the letterwise sum regrouped, which the tests keep as the
 reference.  When the brackets respect the grading (eps(f_k, .) = eps(f_i, .)
@@ -46,8 +55,11 @@ brackets that break the grading reach a mod 2.
 
 from __future__ import annotations
 
+from operator import add
+
 from .dual import DgaElement, dual_of, monomial_basis
 from .linalg import ExactMatrix, FIELD_Q, FIELD_QT
+from .scalars import plain_rational
 
 
 class Differential:
@@ -59,12 +71,17 @@ class Differential:
             if not el.is_zero() and el.degree() != 2:
                 raise ValueError("d of a generator must be homogeneous of degree 2")
         n = algebra.n
+        capped = algebra.square_zero
         flip = [[i != j and algebra.anticommute_sign(i, j) == -1
                  for j in range(n)] for i in range(n)]
-        # one entry (k, m - e_k, c, rho, w as a bitmask, u) per term of d f_k
+        rational = self.field() == FIELD_Q
+        # one entry (k, m - e_k, c, rho, w, u, cap) per term of d f_k, with
+        # w and cap as bitmasks
         self._terms = []
         for k, el in enumerate(self.on_generators):
             for m, c in el.coeffs.items():
+                if any(m[i] > 1 for i in capped):
+                    continue
                 left = [sum(m[j] for j in range(i) if flip[j][i])
                         for i in range(n)]
                 right = [sum(m[j] for j in range(i + 1, n) if flip[i][j])
@@ -75,7 +92,10 @@ class Differential:
                     bit = left[i] + (cm.s[i][k] == -1) if i < k else right[i]
                     w |= bit % 2 << i
                 shift = tuple(e - (j == k) for j, e in enumerate(m))
-                self._terms.append((k, shift, c, rho, w, right[k] % 2))
+                cap = sum(1 << i for i in capped if shift[i] > 0)
+                if rational:
+                    c = plain_rational(c)
+                self._terms.append((k, shift, c, rho, w, right[k] % 2, cap))
         # degree -> DifferentialMatrix, degree -> monomial basis; nothing
         # writes to a built matrix or basis
         self._matrices = {}
@@ -90,28 +110,32 @@ class Differential:
 
     def apply_monomial(self, mono):
         """d of one basis monomial, by the closed form on exponent vectors."""
-        capped = self.algebra.square_zero
-        odd = sum(a % 2 << i for i, a in enumerate(mono))
+        return DgaElement(self.algebra, self._apply(mono))
+
+    def _apply(self, mono):
+        """d of one basis monomial as {exponent vector: coefficient}, with
+        coefficients of the field's scalar type."""
+        odd = 0
+        for i, a in enumerate(mono):
+            odd |= (a & 1) << i
         acc = {}
-        for k, shift, c, rho, w, u in self._terms:
-            q = mono[k] if rho == 1 else mono[k] % 2
-            if not q:
+        for k, shift, c, rho, w, u, cap in self._terms:
+            if odd & cap:
                 continue
-            target = tuple(a + b for a, b in zip(mono, shift))
-            if any(target[i] > 1 for i in capped):
+            q = mono[k] if rho == 1 else mono[k] & 1
+            if not q:
                 continue
             if (u + (odd & w).bit_count()) % 2:
                 q = -q
+            target = tuple(map(add, mono, shift))
             coef = c if q == 1 else -c if q == -1 else c * q
             prev = acc.get(target)
             total = coef if prev is None else prev + coef
-            if total.is_zero():
-                acc.pop(target, None)
-            else:
+            if total:
                 acc[target] = total
-        out = DgaElement(self.algebra)
-        out.coeffs = acc
-        return out
+            else:
+                del acc[target]
+        return acc
 
     def apply(self, x):
         """Linear extension of the monomial action; degree +1, d(1) = 0."""
@@ -135,9 +159,8 @@ class Differential:
         rows = self._basis(n + 1)
         index = {m: i for i, m in enumerate(rows)}
         mat = ExactMatrix(len(rows), len(cols), field=self.field())
-        mat.columns = [
-            {index[m]: c for m, c in self.apply_monomial(mono).coeffs.items()}
-            for mono in cols]
+        mat.columns = [{index[m]: c for m, c in self._apply(mono).items()}
+                       for mono in cols]
         self._matrices[n] = DifferentialMatrix(n, mat, rows, cols)
         return self._matrices[n]
 

@@ -1,15 +1,20 @@
 """Exact linear algebra over Q and Q(t): rank, kernel and image bases.
 
-Vectors are sparse: a dict index -> Scalar that never stores a zero.  All
-elimination goes through one routine, `echelon`, which returns the reduced
-row echelon form of a span: unit pivots, each at its row's smallest index,
-and zeros on every other row's pivot.  That form is unique, so kernel and
-image bases depend only on the span, not on the order of elimination.
+Vectors are sparse: a dict index -> entry that never stores a zero.  Over Q
+an entry is a plain rational, an int when integral and a Fraction otherwise;
+over Q(t) it is a Scalar.  All elimination goes through one routine,
+`echelon`, which serves both fields: it tests zero by truthiness and scales
+each row to the field's own one (1 over Q, ONE over Q(t)).  It returns the
+reduced row echelon form of a span: unit pivots, each at its row's smallest
+index, and zeros on every other row's pivot.  That form is unique, so kernel
+and image bases depend only on the span, not on the order of elimination.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, as_scalar
+from fractions import Fraction
+
+from .scalars import ONE, ZERO, Scalar, as_scalar, plain_rational
 
 FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
@@ -20,8 +25,10 @@ class MixedScalarKindError(ValueError):
 
 
 class ExactMatrix:
-    """Matrix of Scalars with a declared scalar field (QQ or QQ(t)), stored
-    as sparse columns: columns[j] is the dict row -> entry of column j."""
+    """Matrix with a declared scalar field (QQ or QQ(t)), stored as sparse
+    columns: columns[j] is the dict row -> entry of column j, a plain
+    rational over QQ and a Scalar over QQ(t).  Reads by index and `data`
+    return Scalars on either field."""
 
     def __init__(self, rows, cols, field=FIELD_Q):
         if rows < 0 or cols < 0:
@@ -32,26 +39,29 @@ class ExactMatrix:
         self.columns = [{} for _ in range(cols)]
 
     def __getitem__(self, ij):
-        return self.columns[ij[1]].get(ij[0], ZERO)
+        return as_scalar(self.columns[ij[1]].get(ij[0], ZERO))
 
     def __setitem__(self, ij, v):
         v = as_scalar(v)
-        if self.field == FIELD_Q and v.depends_on_param():
-            raise MixedScalarKindError(
-                "parameter-dependent entry %s in a rational matrix" % v)
+        if self.field == FIELD_Q:
+            if v.depends_on_param():
+                raise MixedScalarKindError(
+                    "parameter-dependent entry %s in a rational matrix" % v)
+            v = plain_rational(v)
         i, j = ij
-        if v.is_zero():
-            self.columns[j].pop(i, None)
-        else:
+        if v:
             self.columns[j][i] = v
+        else:
+            self.columns[j].pop(i, None)
 
     @property
     def data(self):
-        """Dense rows (a fresh copy; the sparse columns are the storage)."""
+        """Dense rows of Scalars (a fresh copy; the sparse columns are the
+        storage)."""
         out = [[ZERO] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
             for i, v in col.items():
-                out[i][j] = v
+                out[i][j] = as_scalar(v)
         return out
 
     def transpose(self):
@@ -80,10 +90,10 @@ def _add_multiple(v, f, row):
     for i, x in row.items():
         y = v.get(i)
         y = f * x if y is None else y + f * x
-        if y.is_zero():
-            del v[i]
-        else:
+        if y:
             v[i] = y
+        else:
+            del v[i]
 
 
 def residue(vector, rows):
@@ -98,8 +108,8 @@ def residue(vector, rows):
 
 def echelon(vectors):
     """Reduced row echelon form of the span of sparse vectors, as
-    {pivot: row}: row[pivot] = ONE, pivot = min(row), and no row has an
-    entry on another row's pivot."""
+    {pivot: row}: row[pivot] is the field's one, pivot = min(row), and no
+    row has an entry on another row's pivot."""
     rows = {}
     for vector in vectors:
         v = residue(vector, rows)
@@ -112,12 +122,15 @@ def insert(rows, v):
     """Add a nonzero residue v (zero on every pivot) to the reduced echelon
     rows {pivot: row} in place, keeping them reduced."""
     p = min(v)
-    # the scaled pivot is ONE, so only the other entries need arithmetic
+    x = v[p]
+    one = ONE if isinstance(x, Scalar) else 1
+    # the scaled pivot is the field's one, so only the other entries need
+    # arithmetic; over Q, 1 / x would be a float
     if len(v) == 1:
-        v = {p: ONE}
-    elif v[p] != ONE:
-        inv = ONE / v[p]
-        v = {i: ONE if i == p else x * inv for i, x in v.items()}
+        v = {p: one}
+    elif x != one:
+        inv = one / x if one is ONE else plain_rational(Fraction(1, x))
+        v = {i: one if i == p else y * inv for i, y in v.items()}
     # a row with an entry at p has its pivot below p, and every entry of
     # v lies at or above p, so that pivot stays the row's smallest index
     for row in rows.values():
@@ -133,9 +146,11 @@ def rank(m):
 
 def rank_kernel(m):
     """Rank and the reduced-echelon kernel basis: one vector per free
-    column c, with entry ONE at c and zero on the other free columns."""
+    column c, with the field's one at c and zero on the other free
+    columns."""
     rows = echelon(m.transpose().columns)
-    kernel = {c: {c: ONE} for c in range(m.cols) if c not in rows}
+    one = ONE if m.field == FIELD_QT else 1
+    kernel = {c: {c: one} for c in range(m.cols) if c not in rows}
     for p, row in rows.items():
         for c, x in row.items():
             if c != p:  # rows vanish on other pivots, so c is free

@@ -65,7 +65,7 @@ def uea_relations(g):
                 rels.append(QuadLinRelation({(i, i): ONE}, linear))
             elif (i, i) in g.brackets:
                 raise ValueError(
-                    "diagonal bracket at %d with s[%d][%d] = +1" % (i, i, i))
+                    "diagonal bracket at {0} with s[{0}][{0}] = +1".format(i + 1))
     return rels
 
 

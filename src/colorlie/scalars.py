@@ -5,6 +5,12 @@ distinguished parameter symbol ``t`` with Fraction coefficients, kept in
 canonical form: num/den coprime, den monic, pure rationals collapse to a
 degree-0 numerator over den = 1.  Equality of canonical forms is decidable by
 structural comparison.
+
+Scalar is the type of Q(t) and of every value the engine hands out
+(DgaElement coefficients, ExactMatrix reads).  Inside the Q path the engine
+computes on plain rationals instead, an int when the value is integral and a
+Fraction otherwise (`plain_rational`), which compare equal to the Scalars of
+the same value.
 """
 
 from __future__ import annotations
@@ -279,6 +285,13 @@ def as_scalar(x):
     raise TypeError("cannot coerce %r to Scalar" % (x,))
 
 
+def plain_rational(x):
+    """The value of x (an int, a Fraction or a rational Scalar) as an int
+    when it is integral, else as a Fraction; ValueError if x depends on t."""
+    q = x.as_fraction() if isinstance(x, Scalar) else x
+    return q.numerator if q.denominator == 1 else q
+
+
 ZERO = Scalar(PZERO, PONE, _canonical=True)
 ONE = Scalar(PONE, PONE, _canonical=True)
 T = Scalar.param()
@@ -294,6 +307,14 @@ T = Scalar.param()
 
 class ScalarParseError(ValueError):
     pass
+
+
+# Bounds on a power x^INT: the exponent, the degree in t of the result, and
+# (roughly) the bit length of its coefficients.  Within them a power takes
+# milliseconds; without them one line of input could take unbounded time and
+# memory.
+MAX_POWER = 256
+MAX_POWER_BITS = 1 << 16
 
 
 def _tokenize(text):
@@ -363,9 +384,24 @@ def parse_scalar(text):
                 take()
                 neg = True
             e = int(take("int"))
+            # v^e has degree e * degree(v) and coefficients of about
+            # e * bits(v) bits; bound both before computing it
+            degree = max(len(v.num), len(v.den)) - 1
+            bits = max(max(abs(c.numerator).bit_length(),
+                           c.denominator.bit_length()) for c in v.num + v.den)
+            if (e > MAX_POWER or e * degree > MAX_POWER
+                    or e * bits > MAX_POWER_BITS):
+                raise ScalarParseError(
+                    "power too large in scalar %r: exponent and degree in t"
+                    " are at most %d, coefficients at most %d bits"
+                    % (text, MAX_POWER, MAX_POWER_BITS))
             out = ONE
-            for _ in range(e):
-                out = out * v
+            while e:  # by repeated squaring
+                if e & 1:
+                    out = out * v
+                e >>= 1
+                if e:
+                    v = v * v
             v = ONE / out if neg else out
         return v
 

@@ -10,8 +10,8 @@ import pytest
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix, find_grading
-from colorlie.linalg import echelon_span
-from colorlie.scalars import Scalar, ZERO
+from colorlie.linalg import FIELD_QT, echelon_span
+from colorlie.scalars import ONE, Scalar, ZERO
 
 COEFF_POOL = [Fraction(c) for c in (-2, -1, 1, 2, 3)] + [
     Fraction(1, 2), Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(0)]
@@ -77,3 +77,21 @@ def spans_equal(vecs_a, vecs_b):
         return False
     both = echelon_span(list(vecs_a) + list(vecs_b))
     return len(both) == len(ea)
+
+
+def assert_field_types(vectors, field):
+    """Every entry of the sparse vectors has the type the engine computes
+    with on the field: Scalar over QQ(t), int or Fraction over QQ (so never
+    a float)."""
+    types = (Scalar,) if field == FIELD_QT else (int, Fraction)
+    for v in vectors:
+        assert all(type(x) in types for x in v.values()), (field, v)
+
+
+def assert_field_pivots(rows, field):
+    """Echelon rows {pivot: row} over the field: every entry of the field's
+    type, and every pivot the field's own one, of that type too."""
+    assert_field_types(rows.values(), field)
+    one = ONE if field == FIELD_QT else 1
+    for p, row in rows.items():
+        assert row[p] == one and type(row[p]) is type(one), (field, row)

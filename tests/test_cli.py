@@ -52,12 +52,12 @@ def test_check_jacobi_violation(tmp_path, capsys):
 @pytest.mark.parametrize("command, report", [
     ("check", "commutation: OK\n"
               "injective: yes\n"
-              "structure: FAIL diagonal bracket (0, 0) requires s[0][0] = -1\n"
-              "structure: FAIL grading violation: c[0,0]^2 with"
-              " s[2][0] != s[0][0]*s[0][0]\n"
+              "structure: FAIL diagonal bracket (1, 1) requires s[1][1] = -1\n"
+              "structure: FAIL grading violation: c[1,1]^3 with"
+              " s[3][1] != s[1][1]*s[1][1]\n"
               "jacobi: OK\n"
-              "pbw: FAIL diagonal bracket at 0 with s[0][0] = +1\n"),
-    ("pbw", "pbw: FAIL diagonal bracket at 0 with s[0][0] = +1\n"),
+              "pbw: FAIL diagonal bracket at 1 with s[1][1] = +1\n"),
+    ("pbw", "pbw: FAIL diagonal bracket at 1 with s[1][1] = +1\n"),
 ], ids=["check", "pbw"])
 def test_diagonal_bracket_at_plus_one_fails_pbw(tmp_path, capsys, command,
                                                 report):
@@ -147,8 +147,10 @@ def test_malformed_document_exit_code(tmp_path, capsys, text, reason):
 
 
 @pytest.mark.parametrize("coeff", [
-    "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "\u00b2",
-], ids=["nested-parentheses", "unary-minus-run", "superscript-digit"])
+    "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "\u00b2", "t^100000",
+    "((2^256)^256)^256",
+], ids=["nested-parentheses", "unary-minus-run", "superscript-digit",
+        "huge-exponent", "huge-nested-power"])
 def test_unparsable_coefficient_is_input_error(tmp_path, capsys, coeff):
     path = tmp_path / "coeff.txt"
     path.write_text("dim 3\n" + CASE3_SIGNS + "bracket 1 2 : 0 0 %s\n" % coeff,

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import COEFF_POOL
+from conftest import COEFF_POOL, assert_field_pivots, assert_field_types
 from letterwise import letterwise_apply, word
 
 from colorlie import catalog
@@ -10,7 +10,7 @@ from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import (Differential, check_d_squared,
                                    differential_from_brackets)
 from colorlie.dual import DgaElement, monomial_basis, multiply
-from colorlie.linalg import rank
+from colorlie.linalg import FIELD_Q, FIELD_QT, echelon, rank
 from colorlie.scalars import ONE, T, ZERO, Scalar
 
 
@@ -114,6 +114,27 @@ def test_image_case5_is_f1f2_line():
     assert len(basis) == 1
     support = [dm.row_basis[i] for i in basis[0]]
     assert support == [(1, 1, 0)]  # the f1 f2 coordinate
+
+
+@pytest.mark.parametrize("row", catalog.ALL_IDS)
+def test_matrix_entries_have_the_field_type(row):
+    """Over QQ every entry of d is an int or a Fraction, over QQ(t) a
+    Scalar.  Elimination keeps that type and scales each pivot to the
+    field's one."""
+    mus = catalog.parameter_samples(row)
+    if catalog.entry(row).parameterized:
+        mus = list(dict.fromkeys(mus + [catalog.GENERIC]))
+    for mu in mus:
+        d = differential_from_brackets(
+            catalog.load(row, catalog.engine_parameter(mu)))
+        field = FIELD_QT if mu == catalog.GENERIC else FIELD_Q
+        assert d.field() == field
+        for n in range(9):
+            m = d.matrix(n).matrix
+            assert m.field == field
+            assert_field_types(m.columns, field)
+            assert_field_pivots(echelon(m.columns), field)
+            assert_field_pivots(echelon(m.transpose().columns), field)
 
 
 def test_check_d_squared_catalog():

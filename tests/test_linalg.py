@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 from bareiss import bareiss_pivots, bareiss_rank
+from conftest import assert_field_pivots, assert_field_types
 from hypothesis import given, settings, strategies as st
 
 from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT,
                              MixedScalarKindError, echelon, echelon_span,
                              image_basis, rank, rank_kernel)
-from colorlie.scalars import ONE, PONE, Scalar, T, ZERO
+from colorlie.scalars import ONE, PONE, Scalar, T, ZERO, as_scalar
 
 
 def M(rows, field=None):
@@ -27,7 +28,9 @@ def M(rows, field=None):
 
 
 def dense(vectors, length):
-    return [[v.get(i, ZERO) for i in range(length)] for v in vectors]
+    """Dense rows of Scalars, the type the Bareiss oracle reads."""
+    return [[as_scalar(v.get(i, ZERO)) for i in range(length)]
+            for v in vectors]
 
 
 def times(m, v):
@@ -46,7 +49,7 @@ def assert_reduced_echelon(rows):
     assert pivots == sorted(set(pivots))
     for row in rows:
         assert row[min(row)] == ONE
-        assert all(not x.is_zero() for x in row.values())  # zeros never stored
+        assert all(row.values())  # zeros never stored
         assert all(p not in row for p in pivots if p != min(row))
 
 
@@ -65,11 +68,12 @@ def assert_kernel_contract(m, pivots):
     free = [c for c in range(m.cols) if c not in pivots]
     assert rk == len(pivots)
     assert len(kernel) == len(free)
+    assert_field_types(kernel, m.field)
     for c, v in zip(free, kernel):
         assert all(x.is_zero() for x in times(m, v))
         assert v[c] == ONE
         assert all(f not in v for f in free if f != c)
-        assert all(not x.is_zero() for x in v.values())
+        assert all(v.values())
 
 
 def test_zero_matrix_kernel_is_identity():
@@ -165,7 +169,29 @@ def test_setitem_rejects_floats_and_strings():
     assert m.columns == [{}]
 
 
-# -- the pivot is set to ONE, not computed -------------------------------
+def test_rational_matrix_stores_plain_rationals_and_reads_scalars():
+    """Over QQ an entry is stored as an int, or as a Fraction when it is
+    not integral; reads by index and `data` give Scalars."""
+    m = ExactMatrix(2, 2)
+    m[0, 0] = Scalar.from_fraction(3)
+    m[1, 0] = Fraction(4, 2)
+    m[0, 1] = Scalar.from_fraction(Fraction(-1, 2))
+    assert m.columns == [{0: 3, 1: 2}, {0: Fraction(-1, 2)}]
+    assert [type(x) for x in m.columns[0].values()] == [int, int]
+    assert type(m.columns[1][0]) is Fraction
+    with pytest.raises(MixedScalarKindError):
+        m[1, 1] = T
+    with pytest.raises(TypeError):
+        m[1, 1] = 2.0
+    assert m.columns[1] == {0: Fraction(-1, 2)}
+    assert m[0, 0] == Scalar.from_fraction(3) and type(m[0, 0]) is Scalar
+    assert type(m[1, 1]) is Scalar and m[1, 1] == ZERO
+    assert all(type(x) is Scalar for row in m.data for x in row)
+    assert m.data == [[Scalar.from_fraction(3), Scalar.from_fraction(
+        Fraction(-1, 2))], [Scalar.from_fraction(2), ZERO]]
+
+
+# -- the pivot is set to the field's one, not computed ------------------
 
 @pytest.mark.parametrize("x", [Scalar.from_fraction(3), T / (T + ONE)])
 def test_single_entry_pivot_is_canonical_one(x):
@@ -173,6 +199,18 @@ def test_single_entry_pivot_is_canonical_one(x):
     assert rows == {2: {2: ONE}}
     pivot = rows[2][2]
     assert pivot.num == PONE and pivot.den == PONE
+
+
+def test_integer_pivot_is_scaled_by_an_exact_inverse():
+    """Over QQ a pivot 3 is inverted as the Fraction 1/3 (1 / 3 would be a
+    float), and the pivot becomes the int 1."""
+    m = M([[3, 0], [1, 3], [6, 3]])
+    rows = echelon(m.columns)
+    assert rows == {0: {0: 1, 2: Fraction(5, 3)}, 1: {1: 1, 2: 1}}
+    assert_field_pivots(rows, FIELD_Q)
+    rk, kernel = rank_kernel(M([[3, 1]]))
+    assert (rk, kernel) == (1, [{0: Fraction(-1, 3), 1: 1}])
+    assert_field_types(kernel, FIELD_Q)
 
 
 def test_two_entry_row_is_scaled_by_its_pivot():
@@ -230,6 +268,7 @@ def _check_against_oracle(m):
     pivots = bareiss_pivots(m.data)
     assert rank(m) == len(pivots)
     assert_kernel_contract(m, pivots)
+    assert_field_pivots(echelon(m.columns), m.field)
     assert_basis_of_span(image_basis(m), m.columns, m.rows, len(pivots))
     rows = m.transpose().columns
     assert_basis_of_span(echelon_span(rows), rows, m.cols, len(pivots))

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
-from colorlie.scalars import (ONE, Scalar, ScalarParseError, T, ZERO,
-                              as_scalar, parse_scalar)
+from colorlie.scalars import (MAX_POWER, ONE, Scalar, ScalarParseError, T,
+                              ZERO, as_scalar, parse_scalar, plain_rational)
 
 
 def frac(a, b=1):
@@ -78,6 +79,34 @@ def test_parse_rejects_deep_nesting_and_non_ascii_digits():
             parse_scalar(bad)
     assert parse_scalar("(" * 40 + "t" + ")" * 40) == T
     assert parse_scalar("-" * 41 + "1/2") == frac(-1, 2)
+
+
+def test_parse_bounds_powers():
+    """A power is computed by repeated squaring, up to exponent MAX_POWER and
+    degree MAX_POWER in t; beyond the bounds it is rejected at once."""
+    assert parse_scalar("t^%d" % MAX_POWER) == parse_scalar(
+        "*".join(["t"] * MAX_POWER))
+    assert parse_scalar("(t^2)^128") == parse_scalar("t^256")
+    assert parse_scalar("(t+1)^5") == parse_scalar("(t+1)*(t+1)^2*(t+1)^2")
+    assert parse_scalar("(1/t)^256") == ONE / parse_scalar("t^256")
+    assert parse_scalar("(-2/3)^3") == frac(-8, 27)
+    assert parse_scalar("t^-2") == ONE / (T * T)
+    assert parse_scalar("0^0") == ONE
+    for bad in ("t^100000", "t^257", "2^257", "(t^2)^129", "(t^256)^256",
+                "(t^256)^2", "(2^256)^256", "((2^256)^256)^256"):
+        start = perf_counter()
+        with pytest.raises(ScalarParseError):
+            parse_scalar(bad)
+        assert perf_counter() - start < 0.5, bad
+
+
+def test_plain_rational():
+    for x in (frac(4, 2), Fraction(6, 3), 2):
+        assert plain_rational(x) == 2 and type(plain_rational(x)) is int
+    assert type(plain_rational(frac(-1, 3))) is Fraction
+    assert plain_rational(frac(-1, 3)) == Fraction(-1, 3)
+    with pytest.raises(ValueError):
+        plain_rational(T)
 
 
 def test_parse_round_trip():
