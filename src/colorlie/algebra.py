@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .linalg import echelon_span
-from .scalars import Scalar, ZERO, as_scalar
+from .scalars import Scalar, exact
 
 
 class CommutationMatrix:
@@ -124,7 +124,7 @@ def find_grading(cm, brackets=None):
     when no certifying bilinear form exists."""
     echelon = _gf2_echelon(1 << i ^ 1 << j ^ 1 << k
                            for (i, j), vec in (brackets or {}).items()
-                           for k, c in enumerate(vec) if not c.is_zero())
+                           for k, c in enumerate(vec) if c)
     free = [i for i in range(cm.n) if i not in echelon]
     ga = GradingAssignment(
         tuple(echelon[i] >> f & 1 if i in echelon else int(i == f) for f in free)
@@ -135,15 +135,12 @@ def find_grading(cm, brackets=None):
 
 
 class ValidationReport:
-    def __init__(self):
-        self.errors = []
+    def __init__(self, errors):
+        self.errors = errors
 
     @property
     def ok(self):
         return not self.errors
-
-    def add(self, msg):
-        self.errors.append(msg)
 
     def __str__(self):
         return "OK" if self.ok else "; ".join(self.errors)
@@ -162,10 +159,10 @@ class ColorLieAlgebra:
         for (i, j), coeffs in brackets.items():
             if not (0 <= i <= j < self.n):
                 raise IndexError("bracket index out of range: (%d, %d)" % (i, j))
-            vec = tuple(as_scalar(c) for c in coeffs)
+            vec = tuple(map(exact, coeffs))
             if len(vec) != self.n:
                 raise ValueError("bracket coefficient vector must have length n")
-            if any(not c.is_zero() for c in vec):
+            if any(vec):
                 self.brackets[(i, j)] = vec
         self.grading = grading
 
@@ -176,12 +173,13 @@ class ColorLieAlgebra:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError("generator index out of range")
         if i <= j:
-            return self.brackets.get((i, j), (ZERO,) * self.n)
+            return self.brackets.get((i, j), (0,) * self.n)
         stored = self.brackets.get((j, i))
         if stored is None:
-            return (ZERO,) * self.n
-        sgn = Scalar.from_fraction(-self.cm.s[i][j])
-        return tuple(sgn * c for c in stored)
+            return (0,) * self.n
+        if self.cm.s[i][j] == -1:
+            return stored
+        return tuple(-c for c in stored)
 
     def jacobi_defect(self):
         """All basis triples i <= j <= k where the generalized Jacobi cyclic
@@ -190,60 +188,66 @@ class ColorLieAlgebra:
         s = self.cm.s
         bad = []
         for i, j, k in combinations_with_replacement(range(self.n), 3):
-            total = [ZERO] * self.n
+            total = [0] * self.n
             for sgn, a, b, c in (
                 (s[k][i], i, j, k),
                 (s[j][k], k, i, j),
                 (s[i][j], j, k, i),
             ):
                 for l, x in enumerate(self.full_bracket(b, c)):
-                    if x.is_zero():
+                    if not x:
                         continue
                     if sgn == -1:
                         x = -x
                     for m, y in enumerate(self.full_bracket(a, l)):
-                        if not y.is_zero():
+                        if y:
                             total[m] = total[m] + x * y
-            if any(not x.is_zero() for x in total):
+            if any(total):
                 bad.append((i, j, k, tuple(total)))
         return bad
 
-    def validate(self):
-        report = ValidationReport()
-        for (i, j) in self.cm.validate():
-            report.add("sign matrix violation at (%d, %d)" % (i + 1, j + 1))
-        if not report.ok:
-            return report
+    def structure_errors(self):
+        """Messages for every violation of the sign matrix, of the diagonal
+        slots and of the grading; the Jacobi identity is not checked."""
+        errors = ["sign matrix violation at (%d, %d)" % (i + 1, j + 1)
+                  for (i, j) in self.cm.validate()]
+        if errors:
+            return errors
         s = self.cm.s
         for (i, j), vec in self.brackets.items():
             if i == j and s[i][i] != -1:
-                report.add("diagonal bracket ({0}, {0}) requires"
-                           " s[{0}][{0}] = -1".format(i + 1))
+                errors.append("diagonal bracket ({0}, {0}) requires"
+                              " s[{0}][{0}] = -1".format(i + 1))
             for k, c in enumerate(vec):
-                if c.is_zero():
+                if not c:
                     continue
                 for l in range(self.n):
                     if s[k][l] != s[i][l] * s[j][l]:
-                        report.add(
+                        errors.append(
                             "grading violation: c[{i},{j}]^{k} with s[{k}][{l}]"
                             " != s[{i}][{l}]*s[{j}][{l}]".format(
                                 i=i + 1, j=j + 1, k=k + 1, l=l + 1))
                         break
         if self.grading is not None:
             if not self.grading.is_compatible(self.cm):
-                report.add("grading assignment incompatible with sign matrix")
+                errors.append("grading assignment incompatible with sign matrix")
             for (i, j), vec in self.brackets.items():
                 target = self.grading.degree_sum(i, j)
                 for k, c in enumerate(vec):
-                    if not c.is_zero() and self.grading.degrees[k] != target:
-                        report.add("bracket (%d, %d) leaves its degree component"
-                                   % (i + 1, j + 1))
+                    if c and self.grading.degrees[k] != target:
+                        errors.append("bracket (%d, %d) leaves its degree"
+                                      " component" % (i + 1, j + 1))
                         break
-        if report.ok:
-            for (i, j, k, _) in self.jacobi_defect():
-                report.add("Jacobi defect at (%d, %d, %d)"
-                           % (i + 1, j + 1, k + 1))
-        return report
+        return errors
+
+    def validate(self):
+        """The structure errors, then (when there are none) one error per
+        Jacobi defect."""
+        errors = self.structure_errors()
+        if not errors:
+            errors = ["Jacobi defect at (%d, %d, %d)" % (i + 1, j + 1, k + 1)
+                      for (i, j, k, _) in self.jacobi_defect()]
+        return ValidationReport(errors)
 
     def derived_dimension(self):
         """Dimension and echelon basis of [g, g]."""
@@ -258,14 +262,15 @@ class ColorLieAlgebra:
         return not self.brackets
 
     def has_parameter(self):
-        return any(c.depends_on_param()
+        return any(isinstance(c, Scalar)
                    for vec in self.brackets.values() for c in vec)
 
     def substitute(self, value):
         """Specialize the parameter t to a rational value."""
         value = Fraction(value)
         brackets = {
-            ij: tuple(c.substitute(value) for c in vec)
+            ij: tuple(c.substitute(value) if isinstance(c, Scalar) else c
+                      for c in vec)
             for ij, vec in self.brackets.items()
         }
         return ColorLieAlgebra(self.cm, brackets, grading=self.grading)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import ColorLieAlgebra, CommutationMatrix, find_grading
-from .scalars import Scalar, T, ZERO
+from .scalars import T
 from .series import RationalSeries
 
 GENERIC = "generic"
@@ -35,9 +35,9 @@ _SIGNS_E = ((_P, _M, _M), (_M, _M, _P), (_M, _P, _M))          # rows 13, 14, 15
 
 
 def _vec(**kw):
-    out = [ZERO, ZERO, ZERO]
+    out = [0, 0, 0]
     for key, val in kw.items():
-        out[int(key[1:]) - 1] = val if isinstance(val, Scalar) else Scalar.from_fraction(val)
+        out[int(key[1:]) - 1] = val
     return tuple(out)
 
 

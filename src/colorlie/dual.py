@@ -9,7 +9,8 @@ the exponent vectors.
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO, as_scalar
+from .linalg import accumulate
+from .scalars import exact
 from .series import RationalSeries
 
 
@@ -123,18 +124,17 @@ class DgaElement:
         self.coeffs = {}
         if coeffs:
             for mono, c in coeffs.items():
-                c = as_scalar(c)
-                if not c.is_zero():
-                    self.coeffs[tuple(mono)] = c
+                if c:
+                    self.coeffs[tuple(mono)] = exact(c)
 
     @classmethod
     def unit(cls, algebra):
-        return cls(algebra, {(0,) * algebra.n: ONE})
+        return cls(algebra, {(0,) * algebra.n: 1})
 
     @classmethod
     def generator(cls, algebra, i):
         mono = tuple(1 if k == i else 0 for k in range(algebra.n))
-        return cls(algebra, {mono: ONE})
+        return cls(algebra, {mono: 1})
 
     def is_zero(self):
         return not self.coeffs
@@ -152,11 +152,7 @@ class DgaElement:
         self._check(other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            acc = out.get(m, ZERO) + c
-            if acc.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = acc
+            accumulate(out, m, c)
         return DgaElement(self.algebra, out)
 
     def __neg__(self):
@@ -166,8 +162,7 @@ class DgaElement:
         return self + (-other)
 
     def scale(self, c):
-        c = as_scalar(c)
-        if c.is_zero():
+        if not c:
             return DgaElement(self.algebra)
         return DgaElement(self.algebra, {m: c * x for m, x in self.coeffs.items()})
 
@@ -189,9 +184,9 @@ class DgaElement:
         for m in sorted(self.coeffs):
             c = self.coeffs[m]
             name = monomial_str(m)
-            if c == ONE:
-                parts.append(name if name != "1" else "1")
-            elif c == -ONE and name != "1":
+            if c == 1:
+                parts.append(name)
+            elif c == -1 and name != "1":
                 parts.append("-" + name)
             else:
                 cs = str(c)
@@ -217,12 +212,7 @@ def multiply(x, y):
             sign, total = x.algebra.multiply_monomials(ma, mb)
             if sign == 0:
                 continue
-            c = ca * cb if sign == 1 else -(ca * cb)
-            prev = acc.get(total, ZERO) + c
-            if prev.is_zero():
-                acc.pop(total, None)
-            else:
-                acc[total] = prev
+            accumulate(acc, total, ca * cb if sign == 1 else -(ca * cb))
     out.coeffs = acc
     return out
 

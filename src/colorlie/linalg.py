@@ -2,19 +2,18 @@
 
 Vectors are sparse: a dict index -> entry that never stores a zero.  Over Q
 an entry is a plain rational, an int when integral and a Fraction otherwise;
-over Q(t) it is a Scalar.  All elimination goes through one routine,
-`echelon`, which serves both fields: it tests zero by truthiness and scales
-each row to the field's own one (1 over Q, ONE over Q(t)).  It returns the
-reduced row echelon form of a span: unit pivots, each at its row's smallest
-index, and zeros on every other row's pivot.  That form is unique, so kernel
-and image bases depend only on the span, not on the order of elimination.
+over Q(t) it is a Scalar when it depends on t and a plain rational when
+not.  All elimination goes through one routine, `echelon`, which serves both
+fields: it tests zero by truthiness and scales each row to the int 1.  It
+returns the reduced row echelon form of a span: unit pivots, each at its
+row's smallest index, and zeros on every other row's pivot.  That form is
+unique, so kernel and image bases depend only on the span, not on the order
+of elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import ONE, ZERO, Scalar, as_scalar, plain_rational
+from .scalars import ZERO, Scalar, as_scalar, exact, inverse
 
 FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
@@ -27,8 +26,8 @@ class MixedScalarKindError(ValueError):
 class ExactMatrix:
     """Matrix with a declared scalar field (QQ or QQ(t)), stored as sparse
     columns: columns[j] is the dict row -> entry of column j, a plain
-    rational over QQ and a Scalar over QQ(t).  Reads by index and `data`
-    return Scalars on either field."""
+    rational or (over QQ(t) only) a Scalar.  Reads by index return the
+    stored value; `data` returns Scalars on either field."""
 
     def __init__(self, rows, cols, field=FIELD_Q):
         if rows < 0 or cols < 0:
@@ -39,15 +38,13 @@ class ExactMatrix:
         self.columns = [{} for _ in range(cols)]
 
     def __getitem__(self, ij):
-        return as_scalar(self.columns[ij[1]].get(ij[0], ZERO))
+        return self.columns[ij[1]].get(ij[0], 0)
 
     def __setitem__(self, ij, v):
-        v = as_scalar(v)
-        if self.field == FIELD_Q:
-            if v.depends_on_param():
-                raise MixedScalarKindError(
-                    "parameter-dependent entry %s in a rational matrix" % v)
-            v = plain_rational(v)
+        v = exact(v)
+        if self.field == FIELD_Q and isinstance(v, Scalar):
+            raise MixedScalarKindError(
+                "parameter-dependent entry %s in a rational matrix" % v)
         i, j = ij
         if v:
             self.columns[j][i] = v
@@ -96,6 +93,16 @@ def _add_multiple(v, f, row):
             del v[i]
 
 
+def accumulate(v, i, c):
+    """v[i] += c in place, dropping the entry when it cancels."""
+    y = v.get(i)
+    y = c if y is None else y + c
+    if y:
+        v[i] = y
+    else:
+        v.pop(i, None)
+
+
 def residue(vector, rows):
     """The vector minus its components along the reduced echelon rows
     {pivot: row}; the result is zero on every pivot."""
@@ -108,8 +115,8 @@ def residue(vector, rows):
 
 def echelon(vectors):
     """Reduced row echelon form of the span of sparse vectors, as
-    {pivot: row}: row[pivot] is the field's one, pivot = min(row), and no
-    row has an entry on another row's pivot."""
+    {pivot: row}: row[pivot] is the int 1, pivot = min(row), and no row has
+    an entry on another row's pivot."""
     rows = {}
     for vector in vectors:
         v = residue(vector, rows)
@@ -123,14 +130,13 @@ def insert(rows, v):
     rows {pivot: row} in place, keeping them reduced."""
     p = min(v)
     x = v[p]
-    one = ONE if isinstance(x, Scalar) else 1
-    # the scaled pivot is the field's one, so only the other entries need
-    # arithmetic; over Q, 1 / x would be a float
+    # the scaled pivot is the int 1, so only the other entries need
+    # arithmetic
     if len(v) == 1:
-        v = {p: one}
-    elif x != one:
-        inv = one / x if one is ONE else plain_rational(Fraction(1, x))
-        v = {i: one if i == p else y * inv for i, y in v.items()}
+        v = {p: 1}
+    elif type(x) is not int or x != 1:
+        inv = inverse(x)
+        v = {i: 1 if i == p else y * inv for i, y in v.items()}
     # a row with an entry at p has its pivot below p, and every entry of
     # v lies at or above p, so that pivot stays the row's smallest index
     for row in rows.values():
@@ -146,11 +152,9 @@ def rank(m):
 
 def rank_kernel(m):
     """Rank and the reduced-echelon kernel basis: one vector per free
-    column c, with the field's one at c and zero on the other free
-    columns."""
+    column c, with 1 at c and zero on the other free columns."""
     rows = echelon(m.transpose().columns)
-    one = ONE if m.field == FIELD_QT else 1
-    kernel = {c: {c: one} for c in range(m.cols) if c not in rows}
+    kernel = {c: {c: 1} for c in range(m.cols) if c not in rows}
     for p, row in rows.items():
         for c, x in row.items():
             if c != p:  # rows vanish on other pivots, so c is free

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, Scalar, ZERO, as_scalar
+from .linalg import accumulate
+from .scalars import inverse
 
 Word = tuple  # tuple of generator indices
 
@@ -28,17 +29,17 @@ class QuadLinRelation:
 
     def __init__(self, quadratic, linear):
         # a zero int, Fraction or Scalar is falsy
-        quad = {w: as_scalar(c) for w, c in quadratic.items() if c}
+        quad = {w: c for w, c in quadratic.items() if c}
         if not quad:
             raise ValueError("relation must have a quadratic part")
         for w in quad:
             if len(w) != 2:
                 raise ValueError("only quadratic-linear relations are accepted")
         lead = max(quad, key=deglex_key)
-        inv = ONE / quad[lead]
+        inv = inverse(quad[lead])
         self.lead = lead
         self.quadratic = {w: c * inv for w, c in quad.items()}
-        self.linear = {k: as_scalar(c) * inv for k, c in linear.items() if c}
+        self.linear = {k: c * inv for k, c in linear.items() if c}
         self.rhs = {w: -c for w, c in self.quadratic.items() if w != lead}
         self.rhs.update(((k,), -c) for k, c in self.linear.items())
 
@@ -52,17 +53,17 @@ def uea_relations(g):
     with s_ii = +1 raises ValueError."""
     rels = []
     n = g.n
-    half = Scalar.from_fraction(Fraction(1, 2))
+    half = Fraction(1, 2)
     for i in range(n):
         for j in range(i, n):
             if i < j:
-                sgn = Scalar.from_fraction(-g.cm.s[i][j])
                 linear = {k: -c for k, c in enumerate(g.full_bracket(i, j))}
-                rels.append(QuadLinRelation({(i, j): ONE, (j, i): sgn}, linear))
+                rels.append(QuadLinRelation({(i, j): 1, (j, i): -g.cm.s[i][j]},
+                                            linear))
             elif g.cm.s[i][i] == -1:
                 vec = g.brackets.get((i, i), ())
                 linear = {k: -half * c for k, c in enumerate(vec)}
-                rels.append(QuadLinRelation({(i, i): ONE}, linear))
+                rels.append(QuadLinRelation({(i, i): 1}, linear))
             elif (i, i) in g.brackets:
                 raise ValueError(
                     "diagonal bracket at {0} with s[{0}][{0}] = +1".format(i + 1))
@@ -86,28 +87,20 @@ def reduce_word(element, rels):
     if len(rules) != len(rels):
         raise ValueError("relations must have distinct leading monomials")
     if isinstance(element, tuple):
-        element = {element: ONE}
-    todo = {w: as_scalar(c) for w, c in element.items() if c}
+        element = {element: 1}
+    todo = {w: c for w, c in element.items() if c}
     normal = {}
     while todo:
         w = max(todo, key=deglex_key)
         c = todo.pop(w)
         p = _find_lead(w, rules)
         if p is None:
-            acc = normal.get(w, ZERO) + c
-            if acc.is_zero():
-                normal.pop(w, None)
-            else:
-                normal[w] = acc
+            accumulate(normal, w, c)
             continue
         for piece, pc in rules[w[p:p + 2]].items():
-            nw = w[:p] + piece + w[p + 2:]
-            acc = todo.get(nw, ZERO) + c * pc
-            if acc.is_zero():
-                todo.pop(nw, None)
-            else:
-                todo[nw] = acc
+            accumulate(todo, w[:p] + piece + w[p + 2:], c * pc)
     return normal
+
 
 
 def groebner_check(rels):
@@ -124,8 +117,7 @@ def groebner_check(rels):
                 continue
             s = {(a,) + w: coef for w, coef in r2.rhs.items()}
             for w, coef in r1.rhs.items():
-                wc = w + (c,)
-                s[wc] = s.get(wc, ZERO) - coef
+                accumulate(s, w + (c,), -coef)
             if reduce_word(s, rels):
                 failures.append((a, b, c))
     return not failures, failures

@@ -1,16 +1,15 @@
 """Exact scalars: rational numbers and rational functions in one parameter t.
 
-All arithmetic is exact.  A Scalar is a pair (num, den) of polynomials in the
-distinguished parameter symbol ``t`` with Fraction coefficients, kept in
-canonical form: num/den coprime, den monic, pure rationals collapse to a
-degree-0 numerator over den = 1.  Equality of canonical forms is decidable by
-structural comparison.
-
-Scalar is the type of Q(t) and of every value the engine hands out
-(DgaElement coefficients, ExactMatrix reads).  Inside the Q path the engine
-computes on plain rationals instead, an int when the value is integral and a
-Fraction otherwise (`plain_rational`), which compare equal to the Scalars of
-the same value.
+All arithmetic is exact, and every value has one representation.  A
+rational is a plain int when it is integral and a Fraction otherwise; a
+value that depends on t is a Scalar, a pair (num, den) of polynomials in the
+parameter symbol ``t`` with Fraction coefficients, kept in canonical form:
+num/den coprime, den monic.  Equality of canonical forms is decidable by
+structural comparison.  Scalar arithmetic takes plain operands and returns a
+plain rational whenever its result is constant, so the engine holds a
+Scalar only where t appears.  `exact` is the one coercion into that
+representation; `as_scalar` turns a value back into a Scalar for code that
+reads every value as one.
 """
 
 from __future__ import annotations
@@ -51,6 +50,10 @@ def psub(a, b):
 def pmul(a, b):
     if not a or not b:
         return PZERO
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:  # a nonzero constant scales each coefficient
+        return a if b[0] == 1 else tuple(x * b[0] for x in a)
     out = [F0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
@@ -126,7 +129,9 @@ def pstr(a, var=PARAM):
 
 
 class Scalar:
-    """An exact rational number or rational function of the parameter t."""
+    """A rational function of the parameter t.  The engine makes a Scalar only
+    for a value that depends on t: arithmetic takes ints and Fractions as
+    operands, and every result that is constant comes back as one."""
 
     __slots__ = ("num", "den")
 
@@ -160,37 +165,31 @@ class Scalar:
 
     @staticmethod
     def from_fraction(q):
-        return _rational(Fraction(q))
-
-    @staticmethod
-    def param():
-        """The parameter symbol t as a scalar."""
-        return Scalar((F0, F1), PONE, _canonical=True)
+        """A constant Scalar, for code that reads values as Scalars."""
+        q = Fraction(q)
+        return Scalar((q,) if q else PZERO, PONE, _canonical=True)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self):
         return not self.num
 
-    def is_rational(self):
-        return len(self.num) <= 1 and self.den == PONE
+    def depends_on_param(self):
+        return len(self.num) > 1 or len(self.den) > 1
 
     def as_fraction(self):
-        if not self.is_rational():
+        if self.depends_on_param():
             raise ValueError("scalar %s is not a rational number" % self)
         return self.num[0] if self.num else F0
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = as_scalar(other)
-        a, b = self.num, other.num
-        if len(a) < 2 and len(b) < 2 and len(self.den) == 1 == len(other.den):
-            return _rational((a[0] if a else F0) + (b[0] if b else F0))
-        if self.den == PONE and other.den == PONE:
-            return Scalar(padd(a, b), PONE, _canonical=True)
-        return Scalar(padd(pmul(a, other.den), pmul(b, self.den)),
-                      pmul(self.den, other.den))
+        b, bd = _parts(other)
+        a, ad = self.num, self.den
+        if ad == PONE and bd == PONE:
+            return exact(Scalar(padd(a, b)))
+        return exact(Scalar(padd(pmul(a, bd), pmul(b, ad)), pmul(ad, bd)))
 
     __radd__ = __add__
 
@@ -198,64 +197,54 @@ class Scalar:
         return Scalar(pneg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other):
-        return self + (-as_scalar(other))
+        return self + -other
 
     def __rsub__(self, other):
-        return as_scalar(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return ZERO
-        if len(a) == 1 == len(b) and len(self.den) == 1 == len(other.den):
-            return Scalar((a[0] * b[0],), PONE, _canonical=True)
-        if self.den == PONE and other.den == PONE:
-            return Scalar(pmul(a, b), PONE)
-        return Scalar(pmul(a, b), pmul(self.den, other.den))
+        b, bd = _parts(other)
+        if not b:
+            return 0
+        return exact(Scalar(pmul(self.num, b), pmul(self.den, bd)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar(other)
-        a, b = self.num, other.num
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        if not a:
-            return ZERO
-        if len(a) == 1 == len(b) and len(self.den) == 1 == len(other.den):
-            return Scalar((a[0] / b[0],), PONE, _canonical=True)
-        return Scalar(pmul(a, other.den), pmul(self.den, b))
+        b, bd = _parts(other)
+        return exact(Scalar(pmul(self.num, bd), pmul(self.den, b)))
 
     def __rtruediv__(self, other):
-        return as_scalar(other) / self
+        a, ad = _parts(other)
+        return exact(Scalar(pmul(a, self.den), pmul(ad, self.num)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_fraction(other)
+            return not self.depends_on_param() and self.as_fraction() == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as the rational it equals
+        if not self.depends_on_param():
+            return hash(self.as_fraction())
         return hash((self.num, self.den))
 
     def __bool__(self):
         return bool(self.num)
 
     def substitute(self, value):
-        """Evaluate at t = value (a Fraction); error at a pole."""
+        """Evaluate at t = value (a Fraction) as a plain rational; error at
+        a pole."""
         value = Fraction(value)
         d = peval(self.den, value)
         if d == 0:
             raise ZeroDivisionError("pole of %s at t=%s" % (self, value))
-        return Scalar.from_fraction(peval(self.num, value) / d)
-
-    def depends_on_param(self):
-        return len(self.num) > 1 or len(self.den) > 1
+        return plain_rational(peval(self.num, value) / d)
 
     def __str__(self):
-        if self.is_rational():
+        if not self.depends_on_param():
             return str(self.as_fraction())
         ns = pstr(self.num)
         if self.den == PONE:
@@ -269,32 +258,48 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-def _rational(q):
-    """The canonical Scalar of a Fraction q."""
-    return Scalar((q,), PONE, _canonical=True) if q else ZERO
+def _parts(x):
+    """(numerator, denominator) polynomials of an int, Fraction or Scalar."""
+    if isinstance(x, Scalar):
+        return x.num, x.den
+    if isinstance(x, (int, Fraction)):
+        return ((Fraction(x),) if x else PZERO), PONE
+    raise TypeError("cannot use %r as a scalar" % (x,))
+
+
+def plain_rational(q):
+    """An int or Fraction q as an int when it is integral, else as a
+    Fraction."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def exact(x):
+    """x as the engine holds it (the one coercion): a Scalar when x depends
+    on t, else an int when integral and a Fraction otherwise; TypeError for
+    anything but an int, Fraction or Scalar."""
+    if isinstance(x, Scalar):
+        return x if x.depends_on_param() else plain_rational(x.as_fraction())
+    if isinstance(x, (int, Fraction)):
+        return plain_rational(x)
+    raise TypeError("cannot coerce %r to an exact scalar" % (x,))
 
 
 def as_scalar(x):
-    """x as a Scalar: a Scalar is returned unchanged (it is canonical from
-    construction), an int or Fraction is converted, anything else raises
-    TypeError."""
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_fraction(x)
-    raise TypeError("cannot coerce %r to Scalar" % (x,))
+    """x as a Scalar, for code that reads every value as one (the engine
+    does not); TypeError as for `exact`."""
+    x = exact(x)
+    return x if isinstance(x, Scalar) else Scalar.from_fraction(x)
 
 
-def plain_rational(x):
-    """The value of x (an int, a Fraction or a rational Scalar) as an int
-    when it is integral, else as a Fraction; ValueError if x depends on t."""
-    q = x.as_fraction() if isinstance(x, Scalar) else x
-    return q.numerator if q.denominator == 1 else q
+def inverse(x):
+    """1/x in the representation x has: over Q an int or Fraction (1 / x
+    would be a float on ints), over Q(t) a Scalar."""
+    return 1 / x if isinstance(x, Scalar) else plain_rational(Fraction(1, x))
 
 
 ZERO = Scalar(PZERO, PONE, _canonical=True)
 ONE = Scalar(PONE, PONE, _canonical=True)
-T = Scalar.param()
+T = Scalar((F0, F1), PONE, _canonical=True)  # the parameter symbol t
 
 
 # -- text grammar -----------------------------------------------------
@@ -361,7 +366,7 @@ def parse_scalar(text):
     def atom():
         k = peek()
         if k == "int":
-            return Scalar.from_fraction(int(take()))
+            return int(take())
         if k == "t":
             take()
             return T
@@ -386,23 +391,24 @@ def parse_scalar(text):
             e = int(take("int"))
             # v^e has degree e * degree(v) and coefficients of about
             # e * bits(v) bits; bound both before computing it
-            degree = max(len(v.num), len(v.den)) - 1
+            coeffs = _parts(v)
+            degree = max(map(len, coeffs)) - 1
             bits = max(max(abs(c.numerator).bit_length(),
-                           c.denominator.bit_length()) for c in v.num + v.den)
+                           c.denominator.bit_length()) for c in sum(coeffs, ()))
             if (e > MAX_POWER or e * degree > MAX_POWER
                     or e * bits > MAX_POWER_BITS):
                 raise ScalarParseError(
                     "power too large in scalar %r: exponent and degree in t"
                     " are at most %d, coefficients at most %d bits"
                     % (text, MAX_POWER, MAX_POWER_BITS))
-            out = ONE
+            out = 1
             while e:  # by repeated squaring
                 if e & 1:
                     out = out * v
                 e >>= 1
                 if e:
                     v = v * v
-            v = ONE / out if neg else out
+            v = inverse(out) if neg else out
         return v
 
     def term():
@@ -410,7 +416,7 @@ def parse_scalar(text):
         while peek() in ("*", "/"):
             op = take()
             w = factor()
-            v = v * w if op == "*" else v / w
+            v = v * w if op == "*" else v * inverse(w)
         return v
 
     def expr():
@@ -428,4 +434,4 @@ def parse_scalar(text):
         raise ScalarParseError("scalar nests too deeply") from None
     if pos[0] != len(toks):
         raise ScalarParseError("trailing input in scalar %r" % text)
-    return out
+    return exact(out)

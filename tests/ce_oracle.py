@@ -28,12 +28,13 @@ from fractions import Fraction
 
 def oracle_brackets(entry, mu=None):
     """The catalog entry's brackets as Fraction vectors; a parameterized
-    entry stores t, which is replaced by the engine-side value mu."""
+    entry stores t (in the coefficients that have `substitute`), which is
+    replaced by the engine-side value mu."""
     out = {}
     for (i, j), vec in entry.brackets.items():
-        if entry.parameterized:
-            vec = [c.substitute(Fraction(mu)) for c in vec]
-        out[(i, j)] = tuple(c.as_fraction() for c in vec)
+        vec = [c.substitute(Fraction(mu)) if hasattr(c, "substitute") else c
+               for c in vec]
+        out[(i, j)] = tuple(Fraction(c) for c in vec)
     return out
 
 

@@ -10,8 +10,11 @@ import pytest
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix, find_grading
-from colorlie.linalg import FIELD_QT, echelon_span
-from colorlie.scalars import ONE, Scalar, ZERO
+from colorlie.cohomology import cup_product, representatives_from_differential
+from colorlie.differential import differential_from_brackets
+from colorlie.linalg import FIELD_Q, FIELD_QT, echelon, echelon_span
+from colorlie.pbw import uea_relations
+from colorlie.scalars import Scalar
 
 COEFF_POOL = [Fraction(c) for c in (-2, -1, 1, 2, 3)] + [
     Fraction(1, 2), Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(0)]
@@ -40,8 +43,8 @@ def random_compatible_algebra(cm, rng):
         c = rng.choice(COEFF_POOL)
         if c == 0:
             continue
-        vec = list(brackets.get((i, j), (ZERO,) * cm.n))
-        vec[k] = Scalar.from_fraction(c)
+        vec = list(brackets.get((i, j), (0,) * cm.n))
+        vec[k] = c
         brackets[(i, j)] = tuple(vec)
     return ColorLieAlgebra(cm, brackets, grading=find_grading(cm, brackets))
 
@@ -79,19 +82,64 @@ def spans_equal(vecs_a, vecs_b):
     return len(both) == len(ea)
 
 
+def assert_exact(values, field=FIELD_QT):
+    """Each value has its one representation: an int or a Fraction when it
+    is rational, a Scalar only when it depends on t (so never a float, and
+    never a constant Scalar), and over QQ never a Scalar at all."""
+    for x in values:
+        if type(x) is Scalar:
+            assert field == FIELD_QT and x.depends_on_param(), (field, x)
+        else:
+            assert type(x) in (int, Fraction), (field, x)
+
+
 def assert_field_types(vectors, field):
     """Every entry of the sparse vectors has the type the engine computes
-    with on the field: Scalar over QQ(t), int or Fraction over QQ (so never
-    a float)."""
-    types = (Scalar,) if field == FIELD_QT else (int, Fraction)
+    with on the field (see assert_exact)."""
     for v in vectors:
-        assert all(type(x) in types for x in v.values()), (field, v)
+        assert_exact(v.values(), field)
 
 
 def assert_field_pivots(rows, field):
     """Echelon rows {pivot: row} over the field: every entry of the field's
-    type, and every pivot the field's own one, of that type too."""
+    type, and every pivot the int 1."""
     assert_field_types(rows.values(), field)
-    one = ONE if field == FIELD_QT else 1
     for p, row in rows.items():
-        assert row[p] == one and type(row[p]) is type(one), (field, row)
+        assert type(row[p]) is int and row[p] == 1, (field, row)
+
+
+def assert_engine_values_exact(g, nmax):
+    """Every value the engine makes from g has its one representation
+    (assert_exact): the bracket coefficients, the rewriting rules of the
+    U(g) relations, d on the generators and on each basis monomial, the
+    columns and echelon rows of every matrix through degree nmax (over QQ no
+    Scalar, and every pivot the int 1), the representatives and their cup
+    products."""
+    field = FIELD_QT if g.has_parameter() else FIELD_Q
+    assert_exact((c for vec in g.brackets.values() for c in vec), field)
+    try:
+        rels = uea_relations(g)
+    except ValueError:  # a diagonal bracket at s_ii = +1
+        rels = []
+    for r in rels:
+        assert_exact(r.rhs.values(), field)
+    d = differential_from_brackets(g)
+    assert d.field() == field
+    for el in d.on_generators:
+        assert_exact(el.coeffs.values(), field)
+    classes = []
+    for n in range(nmax + 1):
+        dm = d.matrix(n)
+        assert dm.matrix.field == field
+        assert_field_types(dm.matrix.columns, field)
+        assert_field_pivots(echelon(dm.matrix.columns), field)
+        assert_field_pivots(echelon(dm.matrix.transpose().columns), field)
+        for mono in dm.col_basis:
+            assert_exact(d.apply_monomial(mono).coeffs.values(), field)
+        classes += representatives_from_differential(d, n)
+    for c in classes:
+        assert_exact(c.representative.coeffs.values(), field)
+        for c2 in classes:
+            if c.degree + c2.degree <= nmax:
+                product = cup_product(d, c, c2).representative
+                assert_exact(product.coeffs.values(), field)

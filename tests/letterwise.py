@@ -45,7 +45,7 @@ def letterwise_apply(d, mono):
             total = acc.get(m2)
             coef = c if sign * s1 * s2 == 1 else -c
             total = coef if total is None else total + coef
-            if total.is_zero():
+            if not total:
                 acc.pop(m2)
             else:
                 acc[m2] = total

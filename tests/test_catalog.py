@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import assert_engine_values_exact, assert_exact
 
 from colorlie import catalog
 from colorlie.algebra import CommutationMatrix
@@ -154,3 +155,24 @@ def test_shipped_data_files_match_catalog():
         g, _ = parse_algebra_file(os.path.join(
             root, "abelian_q%d_%d.txt" % (q, k)))
         assert g.cm == ref.cm and g.is_abelian()
+
+
+@pytest.mark.parametrize("row", catalog.ALL_IDS)
+def test_engine_values_have_one_representation(row):
+    """At every parameter sample of the row, and generic: a rational is an
+    int or a Fraction and a Scalar depends on t, in the parsed and the
+    substituted coefficients and in every value computed from them."""
+    mus = catalog.parameter_samples(row)
+    if catalog.entry(row).parameterized:
+        mus = list(dict.fromkeys(mus + [catalog.GENERIC]))
+    parsed, _ = parse_algebra_text(serialize_algebra(catalog.load(row)))
+    for mu in mus:
+        value = catalog.engine_parameter(mu)
+        g = catalog.load(row, value)
+        assert_engine_values_exact(g, 6)
+        if value is not None:
+            assert_exact(c.substitute(value) for vec in parsed.brackets.values()
+                         for c in vec if isinstance(c, Scalar))
+            parsed_g = parsed.substitute(value)
+            assert parsed_g.brackets == g.brackets
+            assert_exact(c for vec in parsed_g.brackets.values() for c in vec)

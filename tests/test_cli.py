@@ -188,6 +188,25 @@ def test_subcommand_rejects_flag_it_does_not_read(tmp_path, command, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, row, flag", [
+    ("cohomology", 10, "--param=--"),
+    ("cohomology", 3, "--max-degree=--"),
+    ("table", None, "--format=--"),
+    ("check", 3, "--out=--"),
+], ids=["param", "max-degree", "format", "out"])
+def test_option_given_as_double_dash_is_usage_error(tmp_path, capsys, command,
+                                                    row, flag):
+    """argparse before Python 3.13 reads "--opt=--" as an empty list; each
+    option then fails as a usage error before anything runs."""
+    path = [] if row is None else [write_algebra(tmp_path, catalog.load(row))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command] + path + [flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument %s" % flag[:-3] in captured.err
+
+
 def test_cohomology_case5(tmp_path, capsys):
     path = write_algebra(tmp_path, catalog.load(5))
     code, out = run(["cohomology", path, "--max-degree", "4"], tmp_path, capsys)

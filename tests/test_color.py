@@ -62,8 +62,8 @@ def jacobi_oracle(g):
 
     def br(i, j):
         sgn, key = (1, (i, j)) if i <= j else (-s[i][j], (j, i))
-        vec = g.brackets.get(key, (ZERO,) * n)
-        return [sgn * c.as_fraction() for c in vec]
+        vec = g.brackets.get(key, (0,) * n)
+        return [sgn * Fraction(c) for c in vec]
 
     out = []
     for i, j, k in itertools.combinations_with_replacement(range(n), 3):
@@ -81,7 +81,7 @@ def jacobi_oracle(g):
 
 
 def defect_fractions(g):
-    return [(i, j, k, tuple(x.as_fraction() for x in total))
+    return [(i, j, k, tuple(Fraction(x) for x in total))
             for i, j, k, total in g.jacobi_defect()]
 
 

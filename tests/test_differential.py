@@ -118,9 +118,9 @@ def test_image_case5_is_f1f2_line():
 
 @pytest.mark.parametrize("row", catalog.ALL_IDS)
 def test_matrix_entries_have_the_field_type(row):
-    """Over QQ every entry of d is an int or a Fraction, over QQ(t) a
-    Scalar.  Elimination keeps that type and scales each pivot to the
-    field's one."""
+    """Over QQ every entry of d is an int or a Fraction; over QQ(t) it is a
+    Scalar where it depends on t and an int or Fraction where not.
+    Elimination keeps that type and sets each pivot to the int 1."""
     mus = catalog.parameter_samples(row)
     if catalog.entry(row).parameterized:
         mus = list(dict.fromkeys(mus + [catalog.GENERIC]))

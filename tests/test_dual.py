@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.dual import (DgaElement, SignAlgebra, dual_of,
                            enveloping_sign_algebra, monomial_basis,
                            monomial_str, multiply, quadratic_dual)
-from colorlie.scalars import ONE
+from colorlie.scalars import ONE, Scalar, T
 
 ALL_PAIRS = frozenset({(0, 1), (0, 2), (1, 2)})
 
@@ -235,3 +237,19 @@ def test_hilbert_duality_product_is_one():
 def test_monomial_str():
     assert monomial_str((0, 0, 0)) == "1"
     assert monomial_str((1, 0, 2)) == "f1*f3^2"
+
+
+def test_element_coefficients_are_exact():
+    """A coefficient is held as the engine holds every value: a constant
+    Scalar becomes its plain rational, t stays a Scalar, and a float or a
+    string is rejected."""
+    alg = dual_of(catalog.load(3))
+    el = DgaElement(alg, {(1, 0, 0): ONE, (0, 1, 0): Scalar.from_fraction(
+        Fraction(1, 2)), (0, 0, 1): T, (1, 1, 0): 0})
+    assert el.coeffs == {(1, 0, 0): 1, (0, 1, 0): Fraction(1, 2), (0, 0, 1): T}
+    assert [type(c) for c in el.coeffs.values()] == [int, Fraction, Scalar]
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError):
+            DgaElement(alg, {(1, 0, 0): bad})
+    with pytest.raises(TypeError):
+        DgaElement.unit(alg).scale(0.5)

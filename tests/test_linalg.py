@@ -9,16 +9,14 @@ from hypothesis import given, settings, strategies as st
 from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT,
                              MixedScalarKindError, echelon, echelon_span,
                              image_basis, rank, rank_kernel)
-from colorlie.scalars import ONE, PONE, Scalar, T, ZERO, as_scalar
+from colorlie.scalars import ONE, Scalar, T, ZERO, as_scalar
 
 
 def M(rows, field=None):
     """ExactMatrix from dense rows of ints, Fractions or Scalars; the field is
     QQ(t) when an entry depends on t, unless given."""
-    rows = [[x if isinstance(x, Scalar) else Scalar.from_fraction(Fraction(x))
-             for x in row] for row in rows]
     if field is None:
-        field = FIELD_QT if any(x.depends_on_param()
+        field = FIELD_QT if any(isinstance(x, Scalar) and x.depends_on_param()
                                 for row in rows for x in row) else FIELD_Q
     m = ExactMatrix(len(rows), len(rows[0]) if rows else 0, field=field)
     for i, row in enumerate(rows):
@@ -37,7 +35,7 @@ def times(m, v):
     """M v as a dense column."""
     out = []
     for i in range(m.rows):
-        acc = ZERO
+        acc = 0
         for j, x in v.items():
             acc = acc + m[i, j] * x
         out.append(acc)
@@ -48,7 +46,7 @@ def assert_reduced_echelon(rows):
     pivots = [min(row) for row in rows]
     assert pivots == sorted(set(pivots))
     for row in rows:
-        assert row[min(row)] == ONE
+        assert type(row[min(row)]) is int and row[min(row)] == 1
         assert all(row.values())  # zeros never stored
         assert all(p not in row for p in pivots if p != min(row))
 
@@ -62,7 +60,7 @@ def assert_basis_of_span(basis, vectors, length, rk):
 
 def assert_kernel_contract(m, pivots):
     """Each kernel vector belongs to one free column c (a column in the span
-    of the columns before it): entry ONE at c, zero on the other free
+    of the columns before it): the int 1 at c, zero on the other free
     columns, and M v = 0."""
     rk, kernel = rank_kernel(m)
     free = [c for c in range(m.cols) if c not in pivots]
@@ -70,8 +68,8 @@ def assert_kernel_contract(m, pivots):
     assert len(kernel) == len(free)
     assert_field_types(kernel, m.field)
     for c, v in zip(free, kernel):
-        assert all(x.is_zero() for x in times(m, v))
-        assert v[c] == ONE
+        assert not any(times(m, v))
+        assert type(v[c]) is int and v[c] == 1
         assert all(f not in v for f in free if f != c)
         assert all(v.values())
 
@@ -171,7 +169,8 @@ def test_setitem_rejects_floats_and_strings():
 
 def test_rational_matrix_stores_plain_rationals_and_reads_scalars():
     """Over QQ an entry is stored as an int, or as a Fraction when it is
-    not integral; reads by index and `data` give Scalars."""
+    not integral; a read by index gives the stored value, and `data` gives
+    Scalars."""
     m = ExactMatrix(2, 2)
     m[0, 0] = Scalar.from_fraction(3)
     m[1, 0] = Fraction(4, 2)
@@ -184,21 +183,21 @@ def test_rational_matrix_stores_plain_rationals_and_reads_scalars():
     with pytest.raises(TypeError):
         m[1, 1] = 2.0
     assert m.columns[1] == {0: Fraction(-1, 2)}
-    assert m[0, 0] == Scalar.from_fraction(3) and type(m[0, 0]) is Scalar
-    assert type(m[1, 1]) is Scalar and m[1, 1] == ZERO
+    assert m[0, 0] == 3 and type(m[0, 0]) is int
+    assert m[0, 1] == Fraction(-1, 2) and type(m[0, 1]) is Fraction
+    assert m[1, 1] == 0 and type(m[1, 1]) is int
     assert all(type(x) is Scalar for row in m.data for x in row)
     assert m.data == [[Scalar.from_fraction(3), Scalar.from_fraction(
         Fraction(-1, 2))], [Scalar.from_fraction(2), ZERO]]
 
 
-# -- the pivot is set to the field's one, not computed ------------------
+# -- the pivot is set to the int 1, not computed -------------------------
 
-@pytest.mark.parametrize("x", [Scalar.from_fraction(3), T / (T + ONE)])
+@pytest.mark.parametrize("x", [3, T / (T + ONE)], ids=["x0", "x1"])
 def test_single_entry_pivot_is_canonical_one(x):
     rows = echelon([{2: x}])
-    assert rows == {2: {2: ONE}}
-    pivot = rows[2][2]
-    assert pivot.num == PONE and pivot.den == PONE
+    assert rows == {2: {2: 1}}
+    assert type(rows[2][2]) is int
 
 
 def test_integer_pivot_is_scaled_by_an_exact_inverse():
@@ -213,11 +212,19 @@ def test_integer_pivot_is_scaled_by_an_exact_inverse():
     assert_field_types(kernel, FIELD_Q)
 
 
+def test_integral_fraction_pivot_becomes_the_int_one():
+    """Arithmetic on Fractions can leave an integral Fraction; as a pivot it
+    is replaced by the int 1 all the same."""
+    rows = echelon([{0: Fraction(3, 3), 1: Fraction(1, 2)}, {0: 2, 2: 3}])
+    assert rows == {0: {0: 1, 2: Fraction(3, 2)}, 1: {1: 1, 2: -3}}
+    assert_field_pivots(rows, FIELD_Q)
+
+
 def test_two_entry_row_is_scaled_by_its_pivot():
     x, y = T / (T + ONE), T * T - ONE
     rows = echelon([{1: x, 4: y}])
-    assert rows == {1: {1: ONE, 4: y / x}}
-    assert rows[1][1].num == PONE and rows[1][1].den == PONE
+    assert rows == {1: {1: 1, 4: y / x}}
+    assert type(rows[1][1]) is int
     assert rows[1][4] == (T + ONE) * (T * T - ONE) / T
 
 

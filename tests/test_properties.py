@@ -1,6 +1,7 @@
 """Property tests: the algebra file format round-trips generated algebras,
 Scalar satisfies the field axioms on generated rational functions in t, and
-its arithmetic on rationals agrees with Fraction in canonical form."""
+its arithmetic on rationals agrees with Fraction and returns plain
+rationals."""
 
 from fractions import Fraction
 
@@ -10,29 +11,31 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import admissible_slots  # noqa: E402
+from conftest import (admissible_slots, assert_engine_values_exact,  # noqa: E402
+                      assert_exact)
 
 from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,  # noqa: E402
                               find_grading)
 from colorlie.catalog import GENERIC  # noqa: E402
 from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
-from colorlie.scalars import (ONE, PONE, T, ZERO, Scalar,  # noqa: E402
-                              pgcd)
+from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
+                              pgcd, plain_rational)
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
 def _poly(coeffs):
-    """sum_i coeffs[i] t^i, by Horner's rule in Scalar arithmetic."""
-    out = ZERO
+    """sum_i coeffs[i] t^i, by Horner's rule in Scalar arithmetic: a Scalar
+    when it depends on t, else a plain rational."""
+    out = 0
     for c in reversed(coeffs):
-        out = out * T + Scalar.from_fraction(c)
+        out = out * T + c
     return out
 
 
 POLYS = st.lists(RATIONALS, max_size=4).map(_poly)
 RATIONAL_FUNCTIONS = st.builds(
-    lambda num, den: num / den, POLYS, POLYS.filter(lambda p: not p.is_zero()))
+    lambda num, den: num * inverse(den), POLYS, POLYS.filter(bool))
 CONSTANTS = RATIONALS.map(Scalar.from_fraction)
 
 
@@ -49,8 +52,8 @@ def algebras(draw, coefficients):
     brackets = {}
     for (i, j, k) in admissible_slots(cm):
         c = draw(coefficients)
-        if not c.is_zero():
-            vec = list(brackets.get((i, j), (ZERO,) * n))
+        if c:
+            vec = list(brackets.get((i, j), (0,) * n))
             vec[k] = c
             brackets[(i, j)] = tuple(vec)
     return ColorLieAlgebra(cm, brackets, grading=find_grading(cm, brackets))
@@ -82,38 +85,56 @@ def test_serialize_parse_round_trip_over_qt(g, param):
     _assert_round_trip(g, param)
 
 
+@settings(max_examples=40, deadline=None)
+@given(algebras(RATIONALS | CONSTANTS | RATIONAL_FUNCTIONS))
+def test_engine_values_have_one_representation(g):
+    """Whatever mix of ints, Fractions and Scalars (constant or not) an
+    algebra is built from, the engine holds each rational as an int or a
+    Fraction and makes a Scalar only where t appears."""
+    parsed, _ = parse_algebra_text(serialize_algebra(g))
+    assert parsed.brackets == g.brackets
+    assert_exact(c for vec in parsed.brackets.values() for c in vec)
+    assert_engine_values_exact(g, 4)
+
+
 @settings(deadline=None)
 @given(RATIONAL_FUNCTIONS, RATIONAL_FUNCTIONS, RATIONAL_FUNCTIONS)
 def test_scalar_field_axioms(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
-    assert x + ZERO == x
-    assert x + (-x) == ZERO
+    assert x + 0 == x
+    assert x + (-x) == 0
     assert x - y == x + (-y)
     assert (x * y) * z == x * (y * z)
     assert x * y == y * x
-    assert x * ONE == x
+    assert x * 1 == x
     assert x * (y + z) == x * y + x * z
     for s in (x + y, x - y, x * y):
         _assert_canonical(s)
-    if not x.is_zero():
-        assert x * (ONE / x) == ONE
-        assert (y / x) * x == y
-        _assert_canonical(y / x)
-        _assert_canonical(ONE / x)
+    if x:
+        assert x * inverse(x) == 1
+        assert (y * inverse(x)) * x == y
+        _assert_canonical(y * inverse(x))
+        _assert_canonical(inverse(x))
 
 
 def _assert_canonical(s):
-    """num/den coprime, den monic, no trailing zero, zero exactly as ZERO."""
+    """A constant is a plain int or Fraction, never a Scalar; a Scalar
+    depends on t and has num/den coprime, den monic, no trailing zero."""
+    if not isinstance(s, Scalar):
+        assert type(s) in (int, Fraction)
+        return
+    assert s.depends_on_param()
     assert s.den and s.den[-1] == 1
-    assert not s.num or s.num[-1] != 0
-    assert pgcd(s.num, s.den) == PONE if s.num else s.den == PONE
-    assert (s.num == ()) == (s == ZERO)
+    assert s.num[-1] != 0
+    assert pgcd(s.num, s.den) == PONE
 
 
 @settings(deadline=None)
 @given(RATIONALS, RATIONALS)
 def test_rational_arithmetic_matches_fraction(p, q):
+    """Constant Scalars (which the engine never makes) still combine, and
+    the result is the plain rational, an int when it is integral."""
     x, y = Scalar.from_fraction(p), Scalar.from_fraction(q)
     # each operation once more through the Q(t) path, on x t and y t
     cases = [(x + y, p + q, (x * T + y * T) / T),
@@ -122,10 +143,8 @@ def test_rational_arithmetic_matches_fraction(p, q):
     if q:
         cases.append((x / y, p / q, (x * T) / (y * T)))
     for s, value, slow in cases:
-        _assert_canonical(s)
-        assert s.den == PONE
-        assert s.num == ((value,) if value else ())
-        assert s == slow and hash(s) == hash(slow)
+        assert s == value and type(s) is type(plain_rational(value))
+        assert s == slow and type(s) is type(slow) and hash(s) == hash(slow)
 
 
 POINTS = (Fraction(2), Fraction(-3), Fraction(1, 5))
@@ -148,7 +167,12 @@ def test_rational_and_rational_function_mix(q, f):
         _assert_canonical(s)
         for c in POINTS:
             try:
-                expected = value(f.substitute(c).as_fraction())
+                expected = value(_at(f, c))
             except ZeroDivisionError:  # a pole of f, or a zero of f in q / f
                 continue
-            assert s.substitute(c) == Scalar.from_fraction(expected)
+            assert _at(s, c) == expected
+
+
+def _at(s, c):
+    """The value of s at t = c."""
+    return s.substitute(c) if isinstance(s, Scalar) else s

@@ -4,7 +4,8 @@ from time import perf_counter
 import pytest
 
 from colorlie.scalars import (MAX_POWER, ONE, Scalar, ScalarParseError, T,
-                              ZERO, as_scalar, parse_scalar, plain_rational)
+                              ZERO, as_scalar, exact, inverse, parse_scalar,
+                              plain_rational)
 
 
 def frac(a, b=1):
@@ -53,7 +54,9 @@ def test_substitute_and_pole():
 def test_depends_on_param():
     assert T.depends_on_param()
     assert not frac(5).depends_on_param()
-    assert not (T - T).depends_on_param()
+    # a constant result of Scalar arithmetic is a plain rational
+    assert T - T == 0 and type(T - T) is int
+    assert type(T / (2 * T)) is Fraction and type(T / T) is int
 
 
 def test_parse_grammar():
@@ -101,12 +104,53 @@ def test_parse_bounds_powers():
 
 
 def test_plain_rational():
-    for x in (frac(4, 2), Fraction(6, 3), 2):
+    for x in (Fraction(6, 3), 2):
         assert plain_rational(x) == 2 and type(plain_rational(x)) is int
-    assert type(plain_rational(frac(-1, 3))) is Fraction
-    assert plain_rational(frac(-1, 3)) == Fraction(-1, 3)
-    with pytest.raises(ValueError):
-        plain_rational(T)
+    assert type(plain_rational(Fraction(-1, 3))) is Fraction
+    assert plain_rational(Fraction(-1, 3)) == Fraction(-1, 3)
+
+
+def test_exact_is_the_one_coercion():
+    """A constant Scalar, an int or a Fraction becomes a plain rational, an
+    int when integral; a Scalar that depends on t stays as it is; nothing
+    else is a value."""
+    for x in (frac(4, 2), Fraction(6, 3), 2):
+        assert exact(x) == 2 and type(exact(x)) is int
+    assert exact(frac(-1, 3)) == Fraction(-1, 3)
+    assert type(exact(frac(-1, 3))) is Fraction
+    assert exact(ZERO) == 0 and type(exact(ZERO)) is int
+    assert exact(T) is T
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            exact(bad)
+
+
+def test_inverse_keeps_the_representation():
+    # 1 / 3 would be the float 0.333...
+    assert inverse(3) == Fraction(1, 3) and type(inverse(3)) is Fraction
+    assert inverse(Fraction(1, 2)) == 2 and type(inverse(Fraction(1, 2))) is int
+    assert inverse(T) * T == 1
+    with pytest.raises(ZeroDivisionError):
+        inverse(0)
+
+
+def test_parse_gives_plain_rationals():
+    for text, value in (("3", 3), ("4/2", 2), ("1/2+1/2", 1), ("t-t", 0),
+                        ("(t^2-t)/t-t", -1)):
+        assert parse_scalar(text) == value and type(parse_scalar(text)) is int
+    assert type(parse_scalar("-1/3")) is Fraction
+    assert type(parse_scalar("2^-1")) is Fraction
+    assert parse_scalar("t/2") == T * Fraction(1, 2)
+
+
+def test_constant_scalar_hashes_as_its_rational():
+    """A constant Scalar equals its rational, so it hashes the same way and
+    finds the same dict entries."""
+    assert {frac(2): 1}.get(2) == 1
+    assert {2: 1}.get(frac(2)) == 1
+    assert {Fraction(1, 2): 1}.get(frac(1, 2)) == 1
+    assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
+    assert T + 1 == parse_scalar("t+1") and hash(T + 1) == hash(parse_scalar("t+1"))
 
 
 def test_parse_round_trip():
