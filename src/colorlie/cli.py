@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -30,19 +31,22 @@ RECONCILIATION_NOTE = (
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # argparse before 3.13 hands "--opt=--" over as [] unconverted; every
-    # option takes one value, and series' terms take at least one
+    # argparse hands "--opt=--" over unconverted, as [] before Python 3.13
+    # and as "--" from 3.13 on; every option takes one value, and series'
+    # terms take at least one
     for name, value in vars(args).items():
-        if value == []:
+        if value == [] or (value == "--" and name != "path"):
             parser.error("argument --%s: expected one argument"
                          % name.replace("_", "-"))
-    out = sys.stdout
-    close = False
+    # --out is written only once the command returns, so a failed run leaves
+    # an existing file as it was
+    out = io.StringIO() if getattr(args, "out", None) else sys.stdout
     try:
-        if getattr(args, "out", None):
-            out = open(args.out, "w", encoding="utf-8")
-            close = True
-        return args.func(args, out)
+        code = args.func(args, out)
+        if out is not sys.stdout:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(out.getvalue())
+        return code
     except (AlgebraFileError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
@@ -52,9 +56,6 @@ def main(argv=None):
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        if close:
-            out.close()
 
 
 def _build_parser():

@@ -56,12 +56,18 @@ def betti_from_differential(d, nmax):
     return BettiTable(h)
 
 
-def _vector(element, basis_index):
-    return {basis_index[mono]: c for mono, c in element.coeffs.items()}
-
-
 def _element(algebra, vec, basis):
     return DgaElement(algebra, {basis[i]: c for i, c in vec.items()})
+
+
+def _boundaries(d, n):
+    """The degree-n monomial basis and the reduced echelon rows of B^n over
+    it, both read off d.matrix(n - 1): its row basis is d.matrix(n)'s column
+    basis, the list that kernel vectors index."""
+    if n == 0:
+        return d.matrix(0).col_basis, {}
+    dm = d.matrix(n - 1)
+    return dm.row_basis, echelon(dm.matrix.columns)
 
 
 def representatives(g, n):
@@ -72,13 +78,11 @@ def representatives(g, n):
 
 
 def representatives_from_differential(d, n):
-    basis = monomial_basis(d.algebra, n)
+    # reduced echelon rows of B^n, then of B^n plus each class chosen so far
+    basis, rows = _boundaries(d, n)
     if not basis:
         return []
-    dn = d.matrix(n)
-    _, kernel = rank_kernel(dn.matrix)
-    # reduced echelon rows of B^n, then of B^n plus each class chosen so far
-    rows = echelon(d.matrix(n - 1).matrix.columns) if n else {}
+    _, kernel = rank_kernel(d.matrix(n).matrix)
     out = []
     for kv in kernel:
         r = residue(kv, rows)
@@ -92,10 +96,9 @@ def cup_product(d, c1, c2):
     """Product of representatives reduced modulo coboundaries."""
     prod = multiply(c1.representative, c2.representative)
     n = c1.degree + c2.degree
-    basis = monomial_basis(d.algebra, n)
-    if prod.is_zero() or not basis:
+    if prod.is_zero():
         return CohomologyClass(n, DgaElement(d.algebra))
+    basis, rows = _boundaries(d, n)
     index = {m: i for i, m in enumerate(basis)}
-    vec = _vector(prod, index)
-    rows = echelon(d.matrix(n - 1).matrix.columns) if n else {}
+    vec = {index[mono]: c for mono, c in prod.coeffs.items()}
     return CohomologyClass(n, _element(d.algebra, residue(vec, rows), basis))

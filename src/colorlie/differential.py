@@ -57,8 +57,7 @@ from __future__ import annotations
 from operator import add
 
 from .dual import DgaElement, dual_of, monomial_basis
-from .linalg import ExactMatrix, FIELD_Q, FIELD_QT
-from .scalars import Scalar
+from .linalg import ExactMatrix
 
 
 class Differential:
@@ -96,13 +95,6 @@ class Differential:
         # writes to a built matrix or basis
         self._matrices = {}
         self._bases = {}
-
-    def has_parameter(self):
-        return any(isinstance(c, Scalar)
-                   for el in self.on_generators for c in el.coeffs.values())
-
-    def field(self):
-        return FIELD_QT if self.has_parameter() else FIELD_Q
 
     def apply_monomial(self, mono):
         """d of one basis monomial, by the closed form on exponent vectors."""
@@ -153,7 +145,7 @@ class Differential:
         cols = self._basis(n)
         rows = self._basis(n + 1)
         index = {m: i for i, m in enumerate(rows)}
-        mat = ExactMatrix(len(rows), len(cols), field=self.field())
+        mat = ExactMatrix(len(rows), len(cols))
         mat.columns = [{index[m]: c for m, c in self._apply(mono).items()}
                        for mono in cols]
         self._matrices[n] = DifferentialMatrix(n, mat, rows, cols)

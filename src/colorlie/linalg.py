@@ -19,32 +19,32 @@ FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
 
 
-class MixedScalarKindError(ValueError):
-    pass
-
-
 class ExactMatrix:
-    """Matrix with a declared scalar field (QQ or QQ(t)), stored as sparse
-    columns: columns[j] is the dict row -> entry of column j, a plain
-    rational or (over QQ(t) only) a Scalar.  Reads by index return the
-    stored value; `data` returns Scalars on either field."""
+    """Matrix stored as sparse columns: columns[j] is the dict row -> entry
+    of column j, a plain rational or, where t appears, a Scalar.  Its field
+    is read off the entries.  Reads by index return the stored value;
+    `data` returns Scalars on either field."""
 
-    def __init__(self, rows, cols, field=FIELD_Q):
+    def __init__(self, rows, cols):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = cols
-        self.field = field
         self.columns = [{} for _ in range(cols)]
+
+    @property
+    def field(self):
+        """QQ(t) when some entry is a Scalar, else QQ."""
+        if any(isinstance(v, Scalar)
+               for col in self.columns for v in col.values()):
+            return FIELD_QT
+        return FIELD_Q
 
     def __getitem__(self, ij):
         return self.columns[ij[1]].get(ij[0], 0)
 
     def __setitem__(self, ij, v):
         v = exact(v)
-        if self.field == FIELD_Q and isinstance(v, Scalar):
-            raise MixedScalarKindError(
-                "parameter-dependent entry %s in a rational matrix" % v)
         i, j = ij
         if v:
             self.columns[j][i] = v
@@ -62,7 +62,7 @@ class ExactMatrix:
         return out
 
     def transpose(self):
-        m = ExactMatrix(self.cols, self.rows, field=self.field)
+        m = ExactMatrix(self.cols, self.rows)
         for j, col in enumerate(self.columns):
             for i, v in col.items():
                 m.columns[i][j] = v
@@ -71,8 +71,7 @@ class ExactMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        field = FIELD_QT if FIELD_QT in (self.field, other.field) else FIELD_Q
-        out = ExactMatrix(self.rows, other.cols, field=field)
+        out = ExactMatrix(self.rows, other.cols)
         for col, acc in zip(other.columns, out.columns):
             for k, c in col.items():
                 _add_multiple(acc, c, self.columns[k])

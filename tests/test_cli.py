@@ -196,8 +196,9 @@ def test_subcommand_rejects_flag_it_does_not_read(tmp_path, command, flag):
 ], ids=["param", "max-degree", "format", "out"])
 def test_option_given_as_double_dash_is_usage_error(tmp_path, capsys, command,
                                                     row, flag):
-    """argparse before Python 3.13 reads "--opt=--" as an empty list; each
-    option then fails as a usage error before anything runs."""
+    """argparse reads "--opt=--" as an empty list before Python 3.13 and as
+    "--" from 3.13 on; either way each option fails as a usage error before
+    anything runs."""
     path = [] if row is None else [write_algebra(tmp_path, catalog.load(row))]
     with pytest.raises(SystemExit) as exc:
         cli.main([command] + path + [flag])
@@ -336,7 +337,27 @@ def test_table_out_file_deterministic(tmp_path, capsys):
 
 def test_out_to_unwritable_path_is_input_error(tmp_path, capsys):
     target = tmp_path / "absent" / "x.txt"
-    assert cli.main(["series", "1", "2", "3", "--out", str(target)]) == 2
+    terms = [str(n + 1) for n in range(12)]
+    assert cli.main(["series"] + terms + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("failure", ["missing-file", "short-series",
+                                     "zero-denominator"])
+def test_failed_run_leaves_out_file_untouched(tmp_path, capsys, failure):
+    argv = {
+        "missing-file": ["cohomology", str(tmp_path / "missing.txt")],
+        "short-series": ["series", "1", "2"],
+        "zero-denominator": ["cohomology",
+                             write_algebra(tmp_path, catalog.load(10)),
+                             "--param", "1/0"],
+    }[failure]
+    target = tmp_path / "r.txt"
+    target.write_text("precious", encoding="utf-8")
+    assert cli.main(argv + ["--out", str(target)]) == 2
+    assert target.read_text(encoding="utf-8") == "precious"
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ")

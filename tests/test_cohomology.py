@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import coeff_vectors, spans_equal
 
-from colorlie import catalog
+from colorlie import catalog, cohomology
 from colorlie.algebra import ColorLieAlgebra
 from colorlie.cohomology import (betti, cup_product, representatives,
                                  representatives_from_differential)
@@ -206,3 +207,26 @@ def test_cup_product_powers_associate_case13():
 def test_betti_table_equality_against_lists():
     t = betti(catalog.load(3), 3)
     assert t == [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("row", [5, 10, 13])
+def test_representatives_and_cup_products_read_the_basis_off_the_matrix(
+        row, monkeypatch):
+    """Neither function enumerates a monomial basis: each reads degree n's
+    basis off d.matrix(n - 1) (row 10 is generic, over QQ(t))."""
+    def enumerate_basis(algebra, n):
+        raise AssertionError("monomial_basis(%d) called" % n)
+
+    g = catalog.load(row)
+    h = betti(g, 4).h
+    d = differential_from_brackets(g)
+    monkeypatch.setattr(cohomology, "monomial_basis", enumerate_basis)
+    classes = [c for n in range(5) for c in representatives_from_differential(d, n)]
+    assert [sum(c.degree == n for c in classes) for n in range(5)] == h
+    for c in classes:
+        assert c.representative.degree() == c.degree
+        for c2 in classes:
+            product = cup_product(d, c, c2)
+            assert product.degree == c.degree + c2.degree
+            if not product.is_zero():
+                assert d.apply(product.representative).is_zero()

@@ -6,19 +6,14 @@ from bareiss import bareiss_pivots, bareiss_rank
 from conftest import assert_field_pivots, assert_field_types
 from hypothesis import given, settings, strategies as st
 
-from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT,
-                             MixedScalarKindError, echelon, echelon_span,
-                             image_basis, rank, rank_kernel)
+from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT, echelon,
+                             echelon_span, image_basis, rank, rank_kernel)
 from colorlie.scalars import ONE, Scalar, T, ZERO, as_scalar
 
 
-def M(rows, field=None):
-    """ExactMatrix from dense rows of ints, Fractions or Scalars; the field is
-    QQ(t) when an entry depends on t, unless given."""
-    if field is None:
-        field = FIELD_QT if any(isinstance(x, Scalar) and x.depends_on_param()
-                                for row in rows for x in row) else FIELD_Q
-    m = ExactMatrix(len(rows), len(rows[0]) if rows else 0, field=field)
+def M(rows):
+    """ExactMatrix from dense rows of ints, Fractions or Scalars."""
+    m = ExactMatrix(len(rows), len(rows[0]) if rows else 0)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             m[i, j] = x
@@ -129,7 +124,7 @@ def test_parametric_rank_matches_random_substitutions():
         [T * T, T, ZERO],
         [ONE, ONE, T],
     ]
-    m = M(entries, field=FIELD_QT)
+    m = M(entries)
     generic = rank(m)
     agree = 0
     for _ in range(100):
@@ -140,13 +135,24 @@ def test_parametric_rank_matches_random_substitutions():
     assert agree >= 95
 
 
-def test_mixed_kind_rejected():
-    with pytest.raises(MixedScalarKindError):
-        M([[T, ONE]], field=FIELD_Q)
+def test_field_follows_the_entries():
+    m = ExactMatrix(2, 2)
+    assert m.field == FIELD_Q
+    m[0, 1] = Fraction(1, 2)
+    assert m.field == FIELD_Q
+    m[1, 0] = T
+    assert m.field == FIELD_QT
+    assert m.transpose().field == FIELD_QT
+    assert m.mul(M([[1, 0], [0, 0]])).field == FIELD_QT
+    assert m.mul(M([[0, 0], [0, 1]])).field == FIELD_Q
+    m[1, 0] = 0
+    assert m.field == FIELD_Q
+    m[1, 1] = T / T  # a constant Scalar is stored as the int 1
+    assert type(m[1, 1]) is int and m.field == FIELD_Q
 
 
 def test_bareiss_on_polynomial_entries():
-    m = M([[T, ONE], [T * T, T]], field=FIELD_QT)
+    m = M([[T, ONE], [T * T, T]])
     assert bareiss_rank(m.data) == 1
     assert rank(m) == 1
 
@@ -178,8 +184,6 @@ def test_rational_matrix_stores_plain_rationals_and_reads_scalars():
     assert m.columns == [{0: 3, 1: 2}, {0: Fraction(-1, 2)}]
     assert [type(x) for x in m.columns[0].values()] == [int, int]
     assert type(m.columns[1][0]) is Fraction
-    with pytest.raises(MixedScalarKindError):
-        m[1, 1] = T
     with pytest.raises(TypeError):
         m[1, 1] = 2.0
     assert m.columns[1] == {0: Fraction(-1, 2)}
@@ -229,7 +233,7 @@ def test_two_entry_row_is_scaled_by_its_pivot():
 
 
 def test_rank_kernel_of_diagonal_qt_matrix_with_zero_column():
-    m = M([[T, 0, 0], [0, 0, 0], [0, 0, ONE / (T - ONE)]], field=FIELD_QT)
+    m = M([[T, 0, 0], [0, 0, 0], [0, 0, ONE / (T - ONE)]])
     rk, kernel = rank_kernel(m)
     assert rk == 2
     assert kernel == [{1: ONE}]
