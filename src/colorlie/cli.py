@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -39,9 +40,14 @@ def main(argv=None):
             parser.error("argument --%s: expected one argument"
                          % name.replace("_", "-"))
     # --out is written only once the command returns, so a failed run leaves
-    # an existing file as it was
+    # an existing file as it was; a missing directory fails before the run
     out = io.StringIO() if getattr(args, "out", None) else sys.stdout
     try:
+        if out is not sys.stdout:
+            folder = os.path.dirname(args.out) or os.curdir
+            if not os.path.isdir(folder):
+                raise ValueError("--out %s: no directory %s"
+                                 % (args.out, folder))
         code = args.func(args, out)
         if out is not sys.stdout:
             with open(args.out, "w", encoding="utf-8") as f:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .differential import differential_from_brackets
 from .dual import DgaElement, monomial_basis, multiply
-from .linalg import echelon, insert, rank, rank_kernel, residue
+from .linalg import _pivot_rows, insert, rank, rank_kernel, residue
 # unused here, but perfbench/traced.py wraps these names in this module
 from .linalg import echelon_span, image_basis  # noqa: F401
 
@@ -61,13 +61,14 @@ def _element(algebra, vec, basis):
 
 
 def _boundaries(d, n):
-    """The degree-n monomial basis and the reduced echelon rows of B^n over
-    it, both read off d.matrix(n - 1): its row basis is d.matrix(n)'s column
-    basis, the list that kernel vectors index."""
+    """The degree-n monomial basis and the echelon rows of B^n over it, both
+    read off d.matrix(n - 1): its row basis is d.matrix(n)'s column basis,
+    the list that kernel vectors index.  The rows are not reduced: `residue`
+    does not need them to be."""
     if n == 0:
         return d.matrix(0).col_basis, {}
     dm = d.matrix(n - 1)
-    return dm.row_basis, echelon(dm.matrix.columns)
+    return dm.row_basis, _pivot_rows(dm.matrix.columns)
 
 
 def representatives(g, n):
@@ -78,7 +79,7 @@ def representatives(g, n):
 
 
 def representatives_from_differential(d, n):
-    # reduced echelon rows of B^n, then of B^n plus each class chosen so far
+    # echelon rows of B^n, then of B^n plus each class chosen so far
     basis, rows = _boundaries(d, n)
     if not basis:
         return []

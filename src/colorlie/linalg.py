@@ -3,15 +3,18 @@
 Vectors are sparse: a dict index -> entry that never stores a zero.  Over Q
 an entry is a plain rational, an int when integral and a Fraction otherwise;
 over Q(t) it is a Scalar when it depends on t and a plain rational when
-not.  All elimination goes through one routine, `echelon`, which serves both
-fields: it tests zero by truthiness and scales each row to the int 1.  It
-returns the reduced row echelon form of a span: unit pivots, each at its
-row's smallest index, and zeros on every other row's pivot.  That form is
-unique, so kernel and image bases depend only on the span, not on the order
-of elimination.
+not.  All elimination is one forward pass, `_pivot_rows`, which serves both
+fields: it tests zero by truthiness and scales each row to the int 1, so its
+echelon rows have unit pivots, each at the row's smallest index.  `rank`
+counts those pivots and does no more.  Only `echelon` reduces them, once, to
+the reduced row echelon form: zeros on every other row's pivot.  That form
+is unique, so kernel and image bases depend only on the span, not on the
+order of elimination.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .scalars import ZERO, Scalar, as_scalar, exact, inverse
 
@@ -103,19 +106,31 @@ def accumulate(v, i, c):
 
 
 def residue(vector, rows):
-    """The vector minus its components along the reduced echelon rows
-    {pivot: row}; the result is zero on every pivot."""
+    """The vector minus the combination of the echelon rows {pivot: row}
+    that clears it on every pivot.  That result is unique, so the rows may
+    be reduced or not."""
     v = dict(vector)
-    for p in [p for p in v if p in rows]:
-        # rows vanish on each other's pivots, so v[p] is still the original
-        _add_multiple(v, -v[p], rows[p])
+    todo = [p for p in v if p in rows]
+    heapify(todo)
+    # subtracting row p adds entries only above p, so clearing the pivots
+    # in ascending order never refills one already cleared
+    while todo:
+        p = heappop(todo)
+        f = v.get(p)
+        if f is None:  # queued twice, or cancelled by an earlier row
+            continue
+        row = rows[p]
+        for i in row:
+            if i not in v and i in rows:  # a pivot this row fills in
+                heappush(todo, i)
+        _add_multiple(v, -f, row)
     return v
 
 
-def echelon(vectors):
-    """Reduced row echelon form of the span of sparse vectors, as
-    {pivot: row}: row[pivot] is the int 1, pivot = min(row), and no row has
-    an entry on another row's pivot."""
+def _pivot_rows(vectors):
+    """Echelon rows of the span of sparse vectors, as {pivot: row}: row[pivot]
+    is the int 1 and pivot = min(row); rows may have entries on each other's
+    pivots."""
     rows = {}
     for vector in vectors:
         v = residue(vector, rows)
@@ -125,8 +140,9 @@ def echelon(vectors):
 
 
 def insert(rows, v):
-    """Add a nonzero residue v (zero on every pivot) to the reduced echelon
-    rows {pivot: row} in place, keeping them reduced."""
+    """Add a nonzero residue v (zero on every pivot) to the echelon rows
+    {pivot: row} in place, scaled to a unit pivot at min(v); the other rows
+    are not reduced against it."""
     p = min(v)
     x = v[p]
     # the scaled pivot is the int 1, so only the other entries need
@@ -136,17 +152,25 @@ def insert(rows, v):
     elif type(x) is not int or x != 1:
         inv = inverse(x)
         v = {i: 1 if i == p else y * inv for i, y in v.items()}
-    # a row with an entry at p has its pivot below p, and every entry of
-    # v lies at or above p, so that pivot stays the row's smallest index
-    for row in rows.values():
-        f = row.get(p)
-        if f is not None:
-            _add_multiple(row, -f, v)
     rows[p] = v
 
 
+def echelon(vectors):
+    """Reduced row echelon form of the span of sparse vectors, as
+    {pivot: row}: row[pivot] is the int 1, pivot = min(row), and no row has
+    an entry on another row's pivot."""
+    rows = _pivot_rows(vectors)
+    # a row's entries lie at or above its pivot, so once every higher row
+    # is reduced, subtracting those rows puts nothing on a pivot
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        for q in [q for q in row if q != p and q in rows]:
+            _add_multiple(row, -row[q], rows[q])
+    return rows
+
+
 def rank(m):
-    return len(echelon(m.columns))
+    return len(_pivot_rows(m.columns))
 
 
 def rank_kernel(m):

@@ -34,9 +34,9 @@ def ptrim(c):
 
 
 def padd(a, b):
-    n = max(len(a), len(b))
-    return ptrim([(a[i] if i < len(a) else F0) + (b[i] if i < len(b) else F0)
-                  for i in range(n)])
+    if len(a) < len(b):
+        a, b = b, a
+    return ptrim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
 
 def pneg(a):
@@ -185,8 +185,12 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        b, bd = _parts(other)
+        if not isinstance(other, Scalar):
+            # num/den + q = (num + q den)/den: still coprime, den still monic
+            return exact(Scalar(padd(self.num, _scaled(self.den, other)),
+                                self.den, _canonical=True))
         a, ad = self.num, self.den
+        b, bd = other.num, other.den
         if ad == PONE and bd == PONE:
             return exact(Scalar(padd(a, b)))
         return exact(Scalar(padd(pmul(a, bd), pmul(b, ad)), pmul(ad, bd)))
@@ -203,20 +207,32 @@ class Scalar:
         return -self + other
 
     def __mul__(self, other):
-        b, bd = _parts(other)
-        if not b:
+        if not isinstance(other, Scalar):
+            # q num/den: still coprime, den still monic
+            num = _scaled(self.num, other)
+            return exact(Scalar(num, self.den, _canonical=True)) if num else 0
+        if not other.num:
             return 0
-        return exact(Scalar(pmul(self.num, b), pmul(self.den, bd)))
+        return exact(Scalar(pmul(self.num, other.num),
+                            pmul(self.den, other.den)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b, bd = _parts(other)
-        return exact(Scalar(pmul(self.num, bd), pmul(self.den, b)))
+        if not isinstance(other, Scalar):
+            return self * inverse(_rational(other))
+        return exact(Scalar(pmul(self.num, other.den),
+                            pmul(self.den, other.num)))
 
     def __rtruediv__(self, other):
-        a, ad = _parts(other)
-        return exact(Scalar(pmul(a, self.den), pmul(ad, self.num)))
+        if not self.num:
+            raise ZeroDivisionError("division by zero")
+        # q den/num, both divided by num's leading coefficient: still
+        # coprime, and the new den is monic
+        num = _scaled(self.den, other / self.num[-1])
+        if not num:
+            return 0
+        return exact(Scalar(num, pmonic(self.num), _canonical=True))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -258,13 +274,20 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-def _parts(x):
-    """(numerator, denominator) polynomials of an int, Fraction or Scalar."""
-    if isinstance(x, Scalar):
-        return x.num, x.den
-    if isinstance(x, (int, Fraction)):
-        return ((Fraction(x),) if x else PZERO), PONE
-    raise TypeError("cannot use %r as a scalar" % (x,))
+def _rational(q):
+    """q when it is an int or Fraction; TypeError otherwise."""
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError("cannot use %r as a scalar" % (q,))
+    return q
+
+
+def _scaled(a, q):
+    """The polynomial a times an int or Fraction q."""
+    if not _rational(q):
+        return PZERO
+    if a == PONE:
+        return (Fraction(q),)
+    return a if q == 1 else tuple(x * q for x in a)
 
 
 def plain_rational(q):
@@ -391,10 +414,10 @@ def parse_scalar(text):
             e = int(take("int"))
             # v^e has degree e * degree(v) and coefficients of about
             # e * bits(v) bits; bound both before computing it
-            coeffs = _parts(v)
-            degree = max(map(len, coeffs)) - 1
+            s = as_scalar(v)
+            degree = max(len(s.num), len(s.den)) - 1
             bits = max(max(abs(c.numerator).bit_length(),
-                           c.denominator.bit_length()) for c in sum(coeffs, ()))
+                           c.denominator.bit_length()) for c in s.num + s.den)
             if (e > MAX_POWER or e * degree > MAX_POWER
                     or e * bits > MAX_POWER_BITS):
                 raise ScalarParseError(

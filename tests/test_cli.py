@@ -344,6 +344,19 @@ def test_out_to_unwritable_path_is_input_error(tmp_path, capsys):
     assert captured.err.startswith("input error: ")
 
 
+def test_out_to_missing_directory_fails_before_the_run(tmp_path, capsys,
+                                                       monkeypatch):
+    def run_table(nmax):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(cli, "_table_rows", run_table)
+    target = tmp_path / "absent" / "x.txt"
+    assert cli.main(["table", "--max-degree", "30", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("failure", ["missing-file", "short-series",
                                      "zero-denominator"])
 def test_failed_run_leaves_out_file_untouched(tmp_path, capsys, failure):

@@ -6,8 +6,10 @@ from bareiss import bareiss_pivots, bareiss_rank
 from conftest import assert_field_pivots, assert_field_types
 from hypothesis import given, settings, strategies as st
 
-from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT, echelon,
-                             echelon_span, image_basis, rank, rank_kernel)
+from colorlie import linalg
+from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT, _pivot_rows,
+                             echelon, echelon_span, image_basis, rank,
+                             rank_kernel, residue)
 from colorlie.scalars import ONE, Scalar, T, ZERO, as_scalar
 
 
@@ -240,6 +242,37 @@ def test_rank_kernel_of_diagonal_qt_matrix_with_zero_column():
     assert echelon(m.columns) == {0: {0: ONE}, 2: {2: ONE}}
 
 
+def test_residue_clears_a_pivot_reached_only_through_fill():
+    """{0: 1} meets pivot 1 only after row 0, unreduced, is subtracted."""
+    rows = _pivot_rows([{0: 1, 1: 1}, {1: 1, 2: 1}])
+    assert rows == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}}
+    assert residue({0: 1}, rows) == {2: 1}
+    assert residue({0: 1}, echelon(rows.values())) == {2: 1}
+
+
+def test_rank_does_not_reduce_earlier_rows(monkeypatch):
+    """rank is one forward pass.  On the columns e_j + e_(j+1) (j < n) and
+    e_0, whose residue runs through every pivot, it makes about one row
+    update per column; reducing each new pivot out of the earlier rows
+    would make n (n - 1) / 2."""
+    calls = []
+    add_multiple = linalg._add_multiple
+
+    def counted(*args):
+        calls.append(args)
+        return add_multiple(*args)
+
+    monkeypatch.setattr(linalg, "_add_multiple", counted)
+    for n in (100, 200):
+        m = ExactMatrix(n + 1, n + 1)
+        for j in range(n):
+            m[j, j] = m[j + 1, j] = 1
+        m[0, n] = 1
+        calls.clear()
+        assert rank(m) == n + 1
+        assert len(calls) <= 2 * n
+
+
 def test_product_and_zero_test():
     a = M([[1, 2], [0, 1]])
     b = M([[2, -2], [-1, 1]])
@@ -285,13 +318,31 @@ def _check_against_oracle(m):
     assert_basis_of_span(echelon_span(rows), rows, m.cols, len(pivots))
 
 
+def _check_forward_pass(m):
+    """rank counts the forward pass's pivots, which are echelon's; residues
+    against the unreduced rows equal those against the reduced ones (each
+    unit vector reaches the later pivots of its row only through fill)."""
+    rows = _pivot_rows(m.columns)
+    reduced = echelon(m.columns)
+    assert rank(m) == len(rows)
+    assert sorted(rows) == sorted(reduced)
+    assert all(min(row) == p for p, row in rows.items())
+    assert_field_pivots(rows, m.field)
+    for i in range(m.rows):
+        r = residue({i: 1}, rows)
+        assert r == residue({i: 1}, reduced)
+        assert not any(p in r for p in rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(sparse_matrices(RATIONALS))
 def test_sparse_elimination_matches_bareiss_over_q(m):
     _check_against_oracle(m)
+    _check_forward_pass(m)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sparse_matrices(RATIONAL_FUNCTIONS, max_dim=24))
 def test_sparse_elimination_matches_bareiss_over_qt(m):
     _check_against_oracle(m)
+    _check_forward_pass(m)

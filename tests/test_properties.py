@@ -153,7 +153,15 @@ POINTS = (Fraction(2), Fraction(-3), Fraction(1, 5))
 @settings(deadline=None)
 @given(RATIONALS, RATIONAL_FUNCTIONS)
 def test_rational_and_rational_function_mix(q, f):
-    x = Scalar.from_fraction(q)
+    """q as a constant Scalar, and as the int or Fraction the engine holds,
+    combined with f either way round."""
+    for x in (Scalar.from_fraction(q), plain_rational(q)):
+        _check_mix(q, x, f)
+
+
+def _check_mix(q, x, f):
+    if not isinstance(x, Scalar) and not isinstance(f, Scalar):
+        return  # Python's arithmetic, where int / int is a float
     cases = [(x + f, lambda v: q + v), (f + x, lambda v: v + q),
              (x - f, lambda v: q - v), (f - x, lambda v: v - q),
              (x * f, lambda v: q * v), (f * x, lambda v: v * q)]

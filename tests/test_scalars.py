@@ -44,6 +44,15 @@ def test_simplify_idempotent():
             as_scalar(bad)
 
 
+def test_arithmetic_rejects_operands_that_are_not_exact():
+    for bad in (1.5, "1", None):
+        for op in (lambda: T + bad, lambda: bad + T, lambda: T - bad,
+                   lambda: T * bad, lambda: bad * T, lambda: T / bad,
+                   lambda: bad / T):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_substitute_and_pole():
     s = (T + ONE) / (T - frac(2))
     assert s.substitute(3) == frac(4)
