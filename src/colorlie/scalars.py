@@ -3,11 +3,11 @@
 All arithmetic is exact, and every value has one representation.  A
 rational is a plain int when it is integral and a Fraction otherwise; a
 value that depends on t is a Scalar, a pair (num, den) of polynomials in the
-parameter symbol ``t`` with Fraction coefficients, kept in canonical form:
-num/den coprime, den monic.  Equality of canonical forms is decidable by
-structural comparison.  Scalar arithmetic takes plain operands and returns a
-plain rational whenever its result is constant, so the engine holds a
-Scalar only where t appears.  `exact` is the one coercion into that
+parameter symbol ``t`` whose coefficients are plain rationals too, kept in
+canonical form: num/den coprime, den monic.  Equality of canonical forms is
+decidable by structural comparison.  Scalar arithmetic takes plain operands
+and returns a plain rational whenever its result is constant, so the engine
+holds a Scalar only where t appears.  `exact` is the one coercion into that
 representation; `as_scalar` turns a value back into a Scalar for code that
 reads every value as one.
 """
@@ -18,12 +18,11 @@ from fractions import Fraction
 
 PARAM = "t"
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-# Polynomials are tuples of Fractions, ascending degree, no trailing zeros.
+# Polynomials are tuples of plain rationals (an int when integral, else a
+# Fraction), ascending degree, no trailing zeros.  Every division goes
+# through `inverse`, since / on two ints is a float.
 PZERO: tuple = ()
-PONE = (F1,)
+PONE = (1,)
 
 
 def ptrim(c):
@@ -36,7 +35,8 @@ def ptrim(c):
 def padd(a, b):
     if len(a) < len(b):
         a, b = b, a
-    return ptrim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+    return ptrim([plain_rational(x + y) for x, y in zip(a, b)]
+                 + list(a[len(b):]))
 
 
 def pneg(a):
@@ -53,41 +53,36 @@ def pmul(a, b):
     if len(a) == 1:
         a, b = b, a
     if len(b) == 1:  # a nonzero constant scales each coefficient
-        return a if b[0] == 1 else tuple(x * b[0] for x in a)
-    out = [F0] * (len(a) + len(b) - 1)
+        return _scaled(a, b[0])
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return ptrim(out)
+    return ptrim([plain_rational(x) for x in out])
 
 
 def pdivmod(a, b):
     """Polynomial division over the rationals; b must be nonzero."""
     if not b:
         raise ZeroDivisionError("division by zero")
-    q = [F0] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     r = list(a)
-    inv = 1 / b[-1]
+    inv = 1 if b[-1] == 1 else inverse(b[-1])
     while len(r) >= len(b):
-        c = r[-1] * inv
+        c = plain_rational(r[-1] * inv)
         d = len(r) - len(b)
         q[d] = c
         for i, y in enumerate(b):
-            r[d + i] -= c * y
+            r[d + i] = plain_rational(r[d + i] - c * y)
         while r and r[-1] == 0:
             r.pop()
     return ptrim(q), ptrim(r)
 
 
 def pmonic(a):
-    if not a:
-        return a
-    lc = a[-1]
-    if lc == 1:
-        return a
-    return tuple(x / lc for x in a)
+    return a if not a or a[-1] == 1 else _scaled(a, inverse(a[-1]))
 
 
 def pgcd(a, b):
@@ -97,7 +92,7 @@ def pgcd(a, b):
 
 
 def peval(a, x):
-    acc = F0
+    acc = 0
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -156,8 +151,9 @@ class Scalar:
             den = pdivmod(den, g)[0]
         lc = den[-1]
         if lc != 1:
-            num = tuple(x / lc for x in num)
-            den = tuple(x / lc for x in den)
+            inv = inverse(lc)
+            num = _scaled(num, inv)
+            den = _scaled(den, inv)
         self.num = num
         self.den = den
 
@@ -166,7 +162,7 @@ class Scalar:
     @staticmethod
     def from_fraction(q):
         """A constant Scalar, for code that reads values as Scalars."""
-        q = Fraction(q)
+        q = plain_rational(Fraction(q))
         return Scalar((q,) if q else PZERO, PONE, _canonical=True)
 
     # -- predicates ----------------------------------------------------
@@ -180,7 +176,7 @@ class Scalar:
     def as_fraction(self):
         if self.depends_on_param():
             raise ValueError("scalar %s is not a rational number" % self)
-        return self.num[0] if self.num else F0
+        return Fraction(self.num[0] if self.num else 0)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -220,7 +216,7 @@ class Scalar:
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
-            return self * inverse(_rational(other))
+            return self * inverse(other)
         return exact(Scalar(pmul(self.num, other.den),
                             pmul(self.den, other.num)))
 
@@ -229,7 +225,7 @@ class Scalar:
             raise ZeroDivisionError("division by zero")
         # q den/num, both divided by num's leading coefficient: still
         # coprime, and the new den is monic
-        num = _scaled(self.den, other / self.num[-1])
+        num = _scaled(self.den, other * inverse(self.num[-1]))
         if not num:
             return 0
         return exact(Scalar(num, pmonic(self.num), _canonical=True))
@@ -286,14 +282,14 @@ def _scaled(a, q):
     if not _rational(q):
         return PZERO
     if a == PONE:
-        return (Fraction(q),)
-    return a if q == 1 else tuple(x * q for x in a)
+        return (plain_rational(q),)
+    return a if q == 1 else tuple(plain_rational(x * q) for x in a)
 
 
 def plain_rational(q):
     """An int or Fraction q as an int when it is integral, else as a
     Fraction."""
-    return q.numerator if q.denominator == 1 else q
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 def exact(x):
@@ -301,7 +297,9 @@ def exact(x):
     on t, else an int when integral and a Fraction otherwise; TypeError for
     anything but an int, Fraction or Scalar."""
     if isinstance(x, Scalar):
-        return x if x.depends_on_param() else plain_rational(x.as_fraction())
+        if x.depends_on_param():
+            return x
+        return x.num[0] if x.num else 0
     if isinstance(x, (int, Fraction)):
         return plain_rational(x)
     raise TypeError("cannot coerce %r to an exact scalar" % (x,))
@@ -316,13 +314,16 @@ def as_scalar(x):
 
 def inverse(x):
     """1/x in the representation x has: over Q an int or Fraction (1 / x
-    would be a float on ints), over Q(t) a Scalar."""
-    return 1 / x if isinstance(x, Scalar) else plain_rational(Fraction(1, x))
+    would be a float on ints), over Q(t) a Scalar; TypeError for anything
+    else, ZeroDivisionError for 0."""
+    if isinstance(x, Scalar):
+        return 1 / x
+    return plain_rational(Fraction(1, _rational(x)))
 
 
 ZERO = Scalar(PZERO, PONE, _canonical=True)
 ONE = Scalar(PONE, PONE, _canonical=True)
-T = Scalar((F0, F1), PONE, _canonical=True)  # the parameter symbol t
+T = Scalar((0, 1), PONE, _canonical=True)  # the parameter symbol t
 
 
 # -- text grammar -----------------------------------------------------

@@ -2,25 +2,27 @@
 abelian closed form.
 
 Canonical form of a series num/den: denominator with constant term 1,
-gcd(num, den) = 1.  Recognition runs Berlekamp-Massey over Q and only
-accepts a recurrence of order r that held, untouched, on at least 2r+5
-trailing terms; otherwise the outcome is None ("inconclusive"), never a
-guess.
+gcd(num, den) = 1, every coefficient a plain rational (an int when it is
+integral, else a Fraction).  Recognition runs a fraction-free
+Berlekamp-Massey over Z and only accepts a recurrence of order r that held,
+untouched, on at least 2r+5 trailing terms; otherwise the outcome is None
+("inconclusive"), never a guess.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
-from .scalars import F0, F1, pdivmod, pgcd, pmul, pstr, ptrim
+from .scalars import (exact, inverse, pdivmod, pgcd, plain_rational, pmul,
+                      pstr, ptrim)
 
 
 class RationalSeries:
     """num(z)/den(z) as a formal power series, den(0) = 1."""
 
     def __init__(self, num, den=(1,)):
-        num = ptrim([Fraction(c) for c in num])
-        den = ptrim([Fraction(c) for c in den])
+        num = ptrim([exact(c) for c in num])
+        den = ptrim([exact(c) for c in den])
         if not den or den[0] == 0:
             raise ValueError("series denominator must have nonzero constant term")
         g = pgcd(num, den)
@@ -29,15 +31,16 @@ class RationalSeries:
             den = pdivmod(den, g)[0]
         c0 = den[0]
         if c0 != 1:
-            num = tuple(x / c0 for x in num)
-            den = tuple(x / c0 for x in den)
+            inv = (inverse(c0),)
+            num = pmul(num, inv)
+            den = pmul(den, inv)
         self.num = num
         self.den = den
 
     @staticmethod
     def poly_power(base, e):
-        out = (F1,)
-        base = ptrim([Fraction(c) for c in base])
+        out = (1,)
+        base = ptrim([exact(c) for c in base])
         for _ in range(e):
             out = pmul(out, base)
         return out
@@ -56,7 +59,7 @@ class RationalSeries:
     def expand(self, nterms):
         """First nterms+1 Taylor coefficients, exact."""
         out = []
-        num = list(self.num) + [F0] * (nterms + 1)
+        num = list(self.num) + [0] * (nterms + 1)
         den = self.den
         for k in range(nterms + 1):
             c = num[k]
@@ -65,10 +68,10 @@ class RationalSeries:
                 for i in range(1, len(den)):
                     if k + i <= nterms:
                         num[k + i] -= c * den[i]
-        return [int(c) if c.denominator == 1 else c for c in out]
+        return [plain_rational(c) for c in out]
 
     def is_polynomial(self):
-        return self.den == (F1,)
+        return self.den == (1,)
 
     def __str__(self):
         ns = pstr(self.num, var="z")
@@ -90,37 +93,42 @@ def abelian_closed_form(n, q):
 
 
 def _berlekamp_massey(seq):
-    """Minimal LFSR over Q: returns (connection poly C, C(0)=1, last index
-    with a nonzero discrepancy)."""
-    c = [F1]
-    b = [F1]
+    """Minimal LFSR of an integer sequence, fraction-free (Massey, IEEE
+    Trans. Inf. Theory 15 (1969)): returns (connection polynomial C with
+    integer coefficients and C(0) != 0, its length L, the last index with a
+    nonzero discrepancy).
+
+    Each update C <- b C - delta x^m B keeps C integral, where b is the
+    discrepancy B had when it was C; C is then divided by the gcd of its
+    coefficients.  Every C is a nonzero multiple of the one over Q with
+    C(0) = 1, so L and the discrepancies' zeros are the same."""
+    c = [1]
+    b = [1]
     L = 0
     m = 1
-    bden = F1
+    bden = 1
     last_fit = -1
-    for n, sn in enumerate(seq):
-        delta = Fraction(sn)
-        for i in range(1, L + 1):
-            if i < len(c):
-                delta += c[i] * Fraction(seq[n - i])
+    for n in range(len(seq)):
+        delta = sum(ci * seq[n - i] for i, ci in enumerate(c[:L + 1]))
         if delta == 0:
             m += 1
             continue
         last_fit = n
-        factor = delta / bden
-        t = c[:]
-        shift = [F0] * m + [x * factor for x in b]
-        width = max(len(c), len(shift))
-        c = [(c[i] if i < len(c) else F0) - (shift[i] if i < len(shift) else F0)
-             for i in range(width)]
+        old = c
+        c = [bden * x for x in c] + [0] * (m + len(b) - len(c))
+        for i, x in enumerate(b):
+            c[m + i] -= delta * x
+        g = gcd(*c)
+        if g != 1:
+            c = [x // g for x in c]
         if 2 * L <= n:
             L = n + 1 - L
-            b = t
+            b = old
             bden = delta
             m = 1
         else:
             m += 1
-    return ptrim(c) or (F1,), L, last_fit
+    return ptrim(c), L, last_fit
 
 
 def recognize(seq, validation_margin=5):
@@ -134,15 +142,17 @@ def recognize(seq, validation_margin=5):
         raise ValueError("recognition needs at least 12 terms")
     c, L, last_fit = _berlekamp_massey(seq)
     nmax = len(seq) - 1
+    # r >= 0, so a fit this late cannot validate at any order
+    if nmax - last_fit < validation_margin:
+        return None
     # numerator: (C * S) truncated below the LFSR length
-    s = ptrim([Fraction(x) for x in seq])
-    prod = pmul(c, s)
+    s = ptrim(seq)
     # a recurrence of order 0 means the sequence itself is the polynomial
-    num = ptrim(prod[:L]) if L else s
+    num = ptrim(pmul(c, s)[:L]) if L else s
     rs = RationalSeries(num, c)
     r = len(rs.den) - 1
     if nmax - last_fit < 2 * r + validation_margin:
         return None
-    if [Fraction(a) for a in rs.expand(nmax)] != [Fraction(x) for x in seq]:
+    if rs.expand(nmax) != list(seq):
         return None
     return rs

@@ -1,7 +1,9 @@
 """Property tests: the algebra file format round-trips generated algebras,
 Scalar satisfies the field axioms on generated rational functions in t, and
 its arithmetic on rationals agrees with Fraction and returns plain
-rationals."""
+rationals; every polynomial coefficient of a Scalar or a RationalSeries is a
+plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
+oracle."""
 
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import bm_oracle  # noqa: E402
 from conftest import (admissible_slots, assert_engine_values_exact,  # noqa: E402
                       assert_exact)
 
@@ -20,6 +23,8 @@ from colorlie.catalog import GENERIC  # noqa: E402
 from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
 from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
                               pgcd, plain_rational)
+from colorlie.series import (RationalSeries, _berlekamp_massey,  # noqa: E402
+                             recognize)
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
@@ -120,7 +125,8 @@ def test_scalar_field_axioms(x, y, z):
 
 def _assert_canonical(s):
     """A constant is a plain int or Fraction, never a Scalar; a Scalar
-    depends on t and has num/den coprime, den monic, no trailing zero."""
+    depends on t and has num/den coprime, den monic, no trailing zero, and
+    plain rational coefficients."""
     if not isinstance(s, Scalar):
         assert type(s) in (int, Fraction)
         return
@@ -128,6 +134,16 @@ def _assert_canonical(s):
     assert s.den and s.den[-1] == 1
     assert s.num[-1] != 0
     assert pgcd(s.num, s.den) == PONE
+    _assert_plain(s.num)
+    _assert_plain(s.den)
+
+
+def _assert_plain(coeffs):
+    """Each coefficient is an int, or a Fraction that is not integral: never
+    a float, never a Fraction with denominator 1."""
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction
+                                  and c.denominator != 1), coeffs
 
 
 @settings(deadline=None)
@@ -184,3 +200,56 @@ def _check_mix(q, x, f):
 def _at(s, c):
     """The value of s at t = c."""
     return s.substitute(c) if isinstance(s, Scalar) else s
+
+
+SERIES = st.builds(
+    RationalSeries, st.lists(RATIONALS, max_size=4),
+    st.builds(lambda c0, rest: [c0] + rest, RATIONALS.filter(bool),
+              st.lists(RATIONALS, max_size=3)))
+
+
+@settings(deadline=None)
+@given(SERIES)
+def test_series_coefficients_are_plain_rationals(rs):
+    assert rs.den[0] == 1 and type(rs.den[0]) is int
+    _assert_plain(rs.num)
+    _assert_plain(rs.den)
+    _assert_plain(rs.expand(8))
+
+
+SMALL_INTS = st.integers(-3, 3)
+# expansions of series with integer num and den(0) = 1, so every term is an
+# integer
+RATIONAL_SEQUENCES = st.builds(
+    lambda num, den, n: RationalSeries(num, [1] + den).expand(n),
+    st.lists(SMALL_INTS, max_size=5), st.lists(SMALL_INTS, max_size=5),
+    st.integers(11, 40))
+# and integer sequences that are mostly not rational of low order
+INTEGER_SEQUENCES = st.one_of(
+    RATIONAL_SEQUENCES,
+    st.lists(st.integers(-9, 9), min_size=12, max_size=41),
+    st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=12, max_size=41))
+
+
+@settings(deadline=None)
+@given(INTEGER_SEQUENCES)
+def test_berlekamp_massey_matches_the_fraction_oracle(seq):
+    """The same L and last fit as Berlekamp-Massey over Q, and an integer C
+    with C(0) != 0 proportional to the oracle's."""
+    c, L, last_fit = _berlekamp_massey(seq)
+    oc, oL, olast = bm_oracle.berlekamp_massey(seq)
+    assert (L, last_fit) == (oL, olast)
+    assert all(type(x) is int for x in c) and c[0] != 0
+    assert list(c) == [c[0] * x for x in oc]
+
+
+@settings(deadline=None)
+@given(RATIONAL_SEQUENCES)
+def test_recognize_matches_the_fraction_oracle(seq):
+    """The oracle reduces its fit over Q whether or not it can validate;
+    on noise of 41 terms that takes seconds, so only rational inputs."""
+    rs = recognize(seq)
+    assert rs == bm_oracle.oracle_recognize(seq)
+    if rs is not None:
+        _assert_plain(rs.num)
+        _assert_plain(rs.den)

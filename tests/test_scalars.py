@@ -141,6 +141,15 @@ def test_inverse_keeps_the_representation():
     assert inverse(T) * T == 1
     with pytest.raises(ZeroDivisionError):
         inverse(0)
+    with pytest.raises(ZeroDivisionError):
+        inverse(Fraction(0))
+
+
+def test_inverse_rejects_values_that_are_not_exact():
+    # Fraction(1, None) is 1, so None must be refused before it gets there
+    for bad in (None, 1.5, 2.0, "2", Scalar):
+        with pytest.raises(TypeError):
+            inverse(bad)
 
 
 def test_parse_gives_plain_rationals():

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from colorlie import series
 from colorlie.series import RationalSeries, abelian_closed_form, recognize
 
 
@@ -33,6 +36,29 @@ def test_recognize_inconclusive_without_validation_window():
     # an order-6 pattern shown for barely one period: refuse to guess
     seq = [1, 1, 0, 1, 1, 0, 2, 1, 0, 1, 1, 1]
     assert recognize(seq) is None
+
+
+def test_recognize_gives_up_on_noise_before_building_a_series(monkeypatch):
+    # the fit of 81 random digits lasts to the last term, so no recurrence
+    # can have held on 5 trailing terms; reducing its order-41 fraction over
+    # Q once took more than a minute
+    rng = random.Random(5)
+    seq = [rng.randint(0, 9) for _ in range(81)]
+
+    def refuse(*args):
+        raise AssertionError("built a series that cannot validate")
+
+    monkeypatch.setattr(series, "RationalSeries", refuse)
+    assert recognize(seq) is None
+
+
+def test_recognize_accepts_a_fit_on_exactly_five_trailing_terms():
+    # 1 + z^3: the last nonzero discrepancy is at index 6 and nmax = 11, so
+    # the reduced recurrence (order 0) held on 2*0 + 5 trailing terms, the
+    # least the window accepts
+    seq = [1, 0, 0, 1] + [0] * 8
+    assert recognize(seq) == RationalSeries.polynomial([1, 0, 0, 1])
+    assert recognize(seq + [0]) == RationalSeries.polynomial([1, 0, 0, 1])
 
 
 def test_recognize_never_guesses_wrong_tail():
