@@ -165,27 +165,37 @@ class ColorLieAlgebra:
             if any(vec):
                 self.brackets[(i, j)] = vec
         self.grading = grading
+        # <e_i, e_j> for every index pair, with <e_j, e_i> = -eps(j, i)
+        # <e_i, e_j> filled in below the diagonal
+        zero = (0,) * self.n
+        self._table = [[zero] * self.n for _ in range(self.n)]
+        for (i, j), vec in self.brackets.items():
+            self._table[i][j] = vec
+            if i < j:
+                self._table[j][i] = (vec if cm.s[j][i] == -1
+                                     else tuple(-c for c in vec))
 
     # -- structure queries ----------------------------------------------
 
     def full_bracket(self, i, j):
-        """<e_i, e_j> as a coefficient vector, for any index order."""
+        """<e_i, e_j> as a coefficient vector, for any index order: a lookup
+        in the table that the constructor builds once."""
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise IndexError("generator index out of range")
-        if i <= j:
-            return self.brackets.get((i, j), (0,) * self.n)
-        stored = self.brackets.get((j, i))
-        if stored is None:
-            return (0,) * self.n
-        if self.cm.s[i][j] == -1:
-            return stored
-        return tuple(-c for c in stored)
+        return self._table[i][j]
 
     def jacobi_defect(self):
         """All basis triples i <= j <= k where the generalized Jacobi cyclic
         sum eps(k,i)<e_i,<e_j,e_k>> + eps(j,k)<e_k,<e_i,e_j>> +
-        eps(i,j)<e_j,<e_k,e_i>> is nonzero."""
+        eps(i,j)<e_j,<e_k,e_i>> is nonzero, as (i, j, k, sum), in
+        combinations_with_replacement order.
+
+        Each call recomputes every sum, walking only the nonzero entries of
+        the bracket table in ascending index order, so every coefficient is
+        accumulated in the same order as a dense walk would."""
         s = self.cm.s
+        nonzero = [[[(l, x) for l, x in enumerate(vec) if x] for vec in row]
+                   for row in self._table]
         bad = []
         for i, j, k in combinations_with_replacement(range(self.n), 3):
             total = [0] * self.n
@@ -194,14 +204,12 @@ class ColorLieAlgebra:
                 (s[j][k], k, i, j),
                 (s[i][j], j, k, i),
             ):
-                for l, x in enumerate(self.full_bracket(b, c)):
-                    if not x:
-                        continue
+                outer = nonzero[a]
+                for l, x in nonzero[b][c]:
                     if sgn == -1:
                         x = -x
-                    for m, y in enumerate(self.full_bracket(a, l)):
-                        if y:
-                            total[m] = total[m] + x * y
+                    for m, y in outer[l]:
+                        total[m] = total[m] + x * y
             if any(total):
                 bad.append((i, j, k, tuple(total)))
         return bad

@@ -145,9 +145,9 @@ class Differential:
         cols = self._basis(n)
         rows = self._basis(n + 1)
         index = {m: i for i, m in enumerate(rows)}
-        mat = ExactMatrix(len(rows), len(cols))
-        mat.columns = [{index[m]: c for m, c in self._apply(mono).items()}
-                       for mono in cols]
+        mat = ExactMatrix.from_columns(
+            len(rows), [{index[m]: c for m, c in self._apply(mono).items()}
+                        for mono in cols])
         self._matrices[n] = DifferentialMatrix(n, mat, rows, cols)
         return self._matrices[n]
 
@@ -180,12 +180,13 @@ def differential_from_brackets(g):
 
 
 def check_d_squared(d, nmax):
-    """True iff matrix(n+1) . matrix(n) = 0 for all n <= nmax."""
+    """True iff matrix(n+1) . matrix(n) = 0 for all n <= nmax.  The product
+    is never stored: each of its columns is dropped once seen, and the
+    first nonzero one ends the check."""
     prev = d.matrix(0)
     for n in range(nmax + 1):
         nxt = d.matrix(n + 1)
-        if prev.matrix.rows and prev.matrix.cols:
-            if not nxt.matrix.mul(prev.matrix).is_zero():
-                return False
+        if any(nxt.matrix.product_columns(prev.matrix)):
+            return False
         prev = nxt
     return True

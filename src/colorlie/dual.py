@@ -48,25 +48,25 @@ class SignAlgebra:
 
     def monomial_basis(self, degree):
         """All exponent vectors of the given degree respecting the square
-        caps, in lexicographic order."""
+        caps, in lexicographic order.
+
+        Built one position at a time: each level extends every prefix, in
+        order, by each exponent that its remaining degree allows, so the
+        levels stay lexicographic.  The last two positions are filled
+        together, the last one with whatever degree is left.  Each call
+        enumerates afresh."""
         if not self.n:
             return [()] if degree == 0 else []
         caps = [1 if i in self.square_zero else degree for i in range(self.n)]
-        last = self.n - 1
-        out = []
-
-        def rec(prefix, remaining):
-            pos = len(prefix)
-            if pos == last:
-                # the last exponent is whatever degree is left
-                if 0 <= remaining <= caps[last]:
-                    out.append(prefix + (remaining,))
-                return
-            for a in range(min(caps[pos], remaining) + 1):
-                rec(prefix + (a,), remaining - a)
-
-        rec((), degree)
-        return out
+        if self.n == 1:
+            return [(degree,)] if 0 <= degree <= caps[0] else []
+        level = [((), degree)]
+        for cap in caps[:-2]:
+            level = [(prefix + (a,), left - a) for prefix, left in level
+                     for a in range(min(cap, left) + 1)]
+        cap, last = caps[-2:]
+        return [prefix + (a, left - a) for prefix, left in level
+                for a in range(max(0, left - last), min(cap, left) + 1)]
 
     def multiply_monomials(self, a, b):
         """(sign, exponent vector) of the product, sign 0 when capped."""

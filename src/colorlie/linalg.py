@@ -35,6 +35,16 @@ class ExactMatrix:
         self.cols = cols
         self.columns = [{} for _ in range(cols)]
 
+    @classmethod
+    def from_columns(cls, rows, columns):
+        """The rows x len(columns) matrix whose storage is the given list
+        of sparse columns, taken as it is."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = len(columns)
+        m.columns = columns
+        return m
+
     @property
     def field(self):
         """QQ(t) when some entry is a Scalar, else QQ."""
@@ -71,14 +81,19 @@ class ExactMatrix:
                 m.columns[i][j] = v
         return m
 
-    def mul(self, other):
+    def product_columns(self, other):
+        """The columns of self . other, one fresh sparse dict at a time."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = ExactMatrix(self.rows, other.cols)
-        for col, acc in zip(other.columns, out.columns):
+        for col in other.columns:
+            acc = {}
             for k, c in col.items():
                 _add_multiple(acc, c, self.columns[k])
-        return out
+            yield acc
+
+    def mul(self, other):
+        return ExactMatrix.from_columns(self.rows,
+                                        list(self.product_columns(other)))
 
     def is_zero(self):
         return not any(self.columns)

@@ -9,6 +9,7 @@ v_i v_j, and normal words are the non-increasing index sequences.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .linalg import accumulate
 from .scalars import inverse
@@ -80,8 +81,13 @@ def _find_lead(word, leads):
 def reduce_word(element, rels):
     """Normal form of a word or linear combination w.r.t. the relations.
 
-    Each step replaces a leading-monomial factor by strictly smaller terms in
-    the degree-lex order, so the loop terminates.
+    The pending words sit in a heap keyed by (-length, word), so the next
+    one popped is the deg-lex largest.  Each step replaces a leading-monomial
+    factor by strictly smaller terms in the degree-lex order, so the loop
+    terminates, words are processed largest first, and a processed word
+    never comes back.  A popped word that is no longer pending (it
+    cancelled, or was pushed twice) is skipped.  The normal form lists its
+    words in descending deg-lex order.
     """
     rules = {r.lead: r.rhs for r in rels}
     if len(rules) != len(rels):
@@ -89,18 +95,23 @@ def reduce_word(element, rels):
     if isinstance(element, tuple):
         element = {element: 1}
     todo = {w: c for w, c in element.items() if c}
+    heap = [(-len(w), w) for w in todo]
+    heapify(heap)
     normal = {}
-    while todo:
-        w = max(todo, key=deglex_key)
-        c = todo.pop(w)
+    while heap:
+        w = heappop(heap)[1]
+        c = todo.pop(w, None)
+        if c is None:
+            continue
         p = _find_lead(w, rules)
         if p is None:
-            accumulate(normal, w, c)
+            normal[w] = c
             continue
         for piece, pc in rules[w[p:p + 2]].items():
-            accumulate(todo, w[:p] + piece + w[p + 2:], c * pc)
+            v = w[:p] + piece + w[p + 2:]
+            accumulate(todo, v, c * pc)
+            heappush(heap, (-len(v), v))
     return normal
-
 
 
 def groebner_check(rels):

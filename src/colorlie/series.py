@@ -20,15 +20,17 @@ from .scalars import (exact, inverse, pdivmod, pgcd, plain_rational, pmul,
 class RationalSeries:
     """num(z)/den(z) as a formal power series, den(0) = 1."""
 
-    def __init__(self, num, den=(1,)):
+    def __init__(self, num, den=(1,), _coprime=False):
+        """_coprime=True promises gcd(num, den) = 1 and skips the gcd."""
         num = ptrim([exact(c) for c in num])
         den = ptrim([exact(c) for c in den])
         if not den or den[0] == 0:
             raise ValueError("series denominator must have nonzero constant term")
-        g = pgcd(num, den)
-        if len(g) > 1:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
+        if not _coprime:
+            g = pgcd(num, den)
+            if len(g) > 1:
+                num = pdivmod(num, g)[0]
+                den = pdivmod(den, g)[0]
         c0 = den[0]
         if c0 != 1:
             inv = (inverse(c0),)
@@ -149,7 +151,9 @@ def recognize(seq, validation_margin=5):
     s = ptrim(seq)
     # a recurrence of order 0 means the sequence itself is the polynomial
     num = ptrim(pmul(c, s)[:L]) if L else s
-    rs = RationalSeries(num, c)
+    # C S = num mod z^(N+1), so num and C are coprime: dividing both by a
+    # common factor g (g(0) != 0, as C(0) != 0) would give a shorter LFSR
+    rs = RationalSeries(num, c, _coprime=True)
     r = len(rs.den) - 1
     if nmax - last_fit < 2 * r + validation_margin:
         return None

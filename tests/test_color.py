@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from jacobi_oracle import defect_values, jacobi_oracle
+
 from colorlie import catalog
 from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,
                               GradingAssignment, find_grading)
@@ -56,35 +58,6 @@ def test_jacobi_defect_catalog_and_abelian():
     assert catalog.load(3).associated_abelian().jacobi_defect() == []
 
 
-def jacobi_oracle(g):
-    """Dense Fraction cyclic sums, in jacobi_defect's order and shape."""
-    n, s = g.n, g.cm.s
-
-    def br(i, j):
-        sgn, key = (1, (i, j)) if i <= j else (-s[i][j], (j, i))
-        vec = g.brackets.get(key, (0,) * n)
-        return [sgn * Fraction(c) for c in vec]
-
-    out = []
-    for i, j, k in itertools.combinations_with_replacement(range(n), 3):
-        total = [Fraction(0)] * n
-        for sgn, a, b, c in ((s[k][i], i, j, k), (s[j][k], k, i, j),
-                             (s[i][j], j, k, i)):
-            inner = br(b, c)
-            for l in range(n):
-                outer = br(a, l)
-                for m in range(n):
-                    total[m] += sgn * inner[l] * outer[m]
-        if any(total):
-            out.append((i, j, k, tuple(total)))
-    return out
-
-
-def defect_fractions(g):
-    return [(i, j, k, tuple(Fraction(x) for x in total))
-            for i, j, k, total in g.jacobi_defect()]
-
-
 def test_jacobi_defect_mutant():
     # redirecting <e2,e3> to e2 breaks the cyclic identity (and the grading)
     g = catalog.load(3)
@@ -92,7 +65,7 @@ def test_jacobi_defect_mutant():
     brackets[(1, 2)] = (ZERO, ONE, ZERO)
     mutant = ColorLieAlgebra(g.cm, brackets)
     assert mutant.jacobi_defect() != []
-    assert defect_fractions(mutant) == jacobi_oracle(mutant)
+    assert defect_values(mutant) == jacobi_oracle(mutant)
     assert not mutant.validate().ok
 
 
@@ -109,7 +82,7 @@ def test_jacobi_defect_sums_match_fraction_oracle():
                         for i in range(3) for j in range(i, 3)}
             random_g = ColorLieAlgebra(cm, brackets)
             expected = jacobi_oracle(random_g)
-            assert defect_fractions(random_g) == expected
+            assert defect_values(random_g) == expected
             defective += bool(expected)
     assert defective > 30
 

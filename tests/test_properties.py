@@ -3,7 +3,9 @@ Scalar satisfies the field axioms on generated rational functions in t, and
 its arithmetic on rationals agrees with Fraction and returns plain
 rationals; every polynomial coefficient of a Scalar or a RationalSeries is a
 plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
-oracle."""
+oracle, and recognition's coprime series equals the reduced one; monomial
+bases, PBW normal forms and overlap checks, and Jacobi sums agree with
+their test-only oracles."""
 
 from fractions import Fraction
 
@@ -13,16 +15,22 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import basis_oracle  # noqa: E402
 import bm_oracle  # noqa: E402
+import pbw_oracle  # noqa: E402
 from conftest import (admissible_slots, assert_engine_values_exact,  # noqa: E402
                       assert_exact)
+from jacobi_oracle import defect_values, jacobi_oracle  # noqa: E402
 
 from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,  # noqa: E402
                               find_grading)
+from colorlie import catalog  # noqa: E402
 from colorlie.catalog import GENERIC  # noqa: E402
+from colorlie.dual import SignAlgebra  # noqa: E402
 from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
+from colorlie.pbw import groebner_check, reduce_word, uea_relations  # noqa: E402
 from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
-                              pgcd, plain_rational)
+                              pgcd, plain_rational, pmul, ptrim)
 from colorlie.series import (RationalSeries, _berlekamp_massey,  # noqa: E402
                              recognize)
 
@@ -44,21 +52,24 @@ RATIONAL_FUNCTIONS = st.builds(
 CONSTANTS = RATIONALS.map(Scalar.from_fraction)
 
 
-@st.composite
-def algebras(draw, coefficients):
-    """A grading-compatible algebra: structure constants only on the slots
-    that respect the sign rows (Jacobi may fail)."""
-    n = draw(st.integers(1, 3))
+def _sign_matrix(draw, n):
     signs = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             signs[i][j] = signs[j][i] = draw(st.sampled_from((1, -1)))
-    cm = CommutationMatrix(signs)
+    return CommutationMatrix(signs)
+
+
+@st.composite
+def algebras(draw, coefficients, sizes=st.integers(1, 3)):
+    """A grading-compatible algebra: structure constants only on the slots
+    that respect the sign rows (Jacobi may fail)."""
+    cm = _sign_matrix(draw, draw(sizes))
     brackets = {}
     for (i, j, k) in admissible_slots(cm):
         c = draw(coefficients)
         if c:
-            vec = list(brackets.get((i, j), (0,) * n))
+            vec = list(brackets.get((i, j), (0,) * cm.n))
             vec[k] = c
             brackets[(i, j)] = tuple(vec)
     return ColorLieAlgebra(cm, brackets, grading=find_grading(cm, brackets))
@@ -253,3 +264,96 @@ def test_recognize_matches_the_fraction_oracle(seq):
     if rs is not None:
         _assert_plain(rs.num)
         _assert_plain(rs.den)
+
+
+@settings(deadline=None)
+@given(RATIONAL_SEQUENCES)
+def test_recognition_series_is_already_reduced(seq):
+    """Berlekamp-Massey's numerator and C are coprime, so the series that
+    recognize builds without a gcd equals the one the reducing constructor
+    builds."""
+    c, L, _ = _berlekamp_massey(seq)
+    s = ptrim(seq)
+    num = ptrim(pmul(c, s)[:L]) if L else s
+    assert RationalSeries(num, c, _coprime=True) == RationalSeries(num, c)
+
+
+@st.composite
+def sign_algebras(draw):
+    n = draw(st.integers(0, 5))
+    square_zero = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    commuting = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return SignAlgebra(n, square_zero, commuting)
+
+
+@settings(deadline=None)
+@given(sign_algebras(), st.integers(0, 15))
+def test_monomial_basis_matches_the_recursive_oracle(alg, degree):
+    """The same monomials in the same lexicographic order, as many as the
+    Hilbert series' coefficient."""
+    basis = alg.monomial_basis(degree)
+    assert basis == basis_oracle.monomial_basis(alg, degree)
+    assert len(basis) == alg.hilbert_series().expand(degree)[degree]
+
+
+WORDS = st.lists(st.integers(0, 2), max_size=5).map(tuple)
+# the catalog's rows at the parameters the suite samples, t kept where
+# GENERIC: random admissible brackets rarely satisfy Jacobi
+CATALOG_ALGEBRAS = st.sampled_from(
+    [(i, mu) for i in catalog.ALL_IDS
+     for mu in catalog.parameter_samples(i)]).map(
+        lambda row: catalog.load(row[0], catalog.engine_parameter(row[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(RATIONALS | RATIONAL_FUNCTIONS, sizes=st.just(3))
+       | CATALOG_ALGEBRAS,
+       st.lists(WORDS | st.dictionaries(WORDS, RATIONALS, max_size=4),
+                max_size=4))
+def test_pbw_reduction_matches_the_scanning_oracle(g, elements):
+    """On 3-generator algebras, PBW and Jacobi-failing ones alike: the same
+    normal forms, words in the same order, and the same failing overlaps."""
+    rels = uea_relations(g)
+    assert groebner_check(rels) == pbw_oracle.groebner_check(rels)
+    for element in elements:
+        normal = reduce_word(element, rels)
+        assert list(normal.items()) == list(
+            pbw_oracle.reduce_word(element, rels).items())
+
+
+@st.composite
+def dense_algebras(draw, coefficients):
+    """Structure constants drawn on every slot i <= j, so the grading and
+    the diagonal rule may both fail."""
+    n = draw(st.integers(1, 3))
+    cm = _sign_matrix(draw, n)
+    brackets = {(i, j): tuple(draw(coefficients) for _ in range(n))
+                for i in range(n) for j in range(i, n)}
+    return ColorLieAlgebra(cm, brackets)
+
+
+def _assert_jacobi_and_antisymmetry(g):
+    assert defect_values(g) == jacobi_oracle(g)
+    s = g.cm.s
+    for a in range(g.n):
+        assert g.full_bracket(a, a) == g.brackets.get((a, a), (0,) * g.n)
+        for b in range(g.n):
+            if a != b or s[a][a] == -1:
+                assert g.full_bracket(a, b) == tuple(
+                    -s[a][b] * c for c in g.full_bracket(b, a))
+    for i, j in ((g.n, 0), (0, g.n), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            g.full_bracket(i, j)
+
+
+@settings(deadline=None)
+@given(dense_algebras(RATIONALS))
+def test_jacobi_defect_matches_the_dense_oracle_over_q(g):
+    _assert_jacobi_and_antisymmetry(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dense_algebras(RATIONALS | RATIONAL_FUNCTIONS))
+def test_jacobi_defect_matches_the_dense_oracle_over_qt(g):
+    _assert_jacobi_and_antisymmetry(g)
