@@ -42,6 +42,15 @@ bitmask of a.  A term with m_i >= 2 at a capped i always exceeds it and is
 dropped.  The constructor tabulates (k, m - e_k, c, rho, w, u, cap mask)
 once per term.
 
+`matrix(n)` evaluates the sum on the whole degree-n basis in one
+term-major pass.  It computes the parity bitmask of each basis monomial
+once per degree; then each term of the table walks all the columns, and
+forms its multiples c q once per distinct q = +-[a_k]_rho, not once per
+entry.  Each column still receives its entries term by term in table
+order, so its dict holds the same entries in the same insertion order as a
+monomial-at-a-time sum.  `apply_monomial` reads one column of that matrix
+back through the row basis; nothing else evaluates the closed form.
+
 Coefficients are the brackets' own values, a plain rational (an int when
 integral, else a Fraction) or, where t appears, a Scalar; `matrix` and
 `apply_monomial` hand them out as they are.
@@ -54,6 +63,7 @@ brackets that break the grading reach a mod 2.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import add
 
 from .dual import DgaElement, dual_of, monomial_basis
@@ -97,32 +107,16 @@ class Differential:
         self._bases = {}
 
     def apply_monomial(self, mono):
-        """d of one basis monomial, by the closed form on exponent vectors."""
-        return DgaElement(self.algebra, self._apply(mono))
-
-    def _apply(self, mono):
-        """d of one basis monomial as {exponent vector: coefficient}."""
-        odd = 0
-        for i, a in enumerate(mono):
-            odd |= (a & 1) << i
-        acc = {}
-        for k, shift, c, rho, w, u, cap in self._terms:
-            if odd & cap:
-                continue
-            q = mono[k] if rho == 1 else mono[k] & 1
-            if not q:
-                continue
-            if (u + (odd & w).bit_count()) % 2:
-                q = -q
-            target = tuple(map(add, mono, shift))
-            coef = c if q == 1 else -c if q == -1 else c * q
-            prev = acc.get(target)
-            total = coef if prev is None else prev + coef
-            if total:
-                acc[target] = total
-            else:
-                del acc[target]
-        return acc
+        """d of one basis monomial: its column of matrix(|mono|), read
+        back through the row basis."""
+        mono = tuple(mono)
+        dm = self.matrix(sum(mono))
+        j = bisect_left(dm.col_basis, mono)
+        if j == len(dm.col_basis) or dm.col_basis[j] != mono:
+            raise ValueError("%r is not a basis monomial" % (mono,))
+        rows = dm.row_basis
+        return DgaElement(self.algebra, {rows[i]: c for i, c
+                                         in dm.matrix.columns[j].items()})
 
     def apply(self, x):
         """Linear extension of the monomial action; degree +1, d(1) = 0."""
@@ -139,15 +133,46 @@ class Differential:
     def matrix(self, n):
         """Matrix of d on monomial_basis(n), columns indexed by the basis;
         built once per degree and shared by every caller, so read-only.
-        matrix(n).row_basis is matrix(n + 1).col_basis."""
+        matrix(n).row_basis is matrix(n + 1).col_basis.
+
+        Built in one term-major pass (see the module docstring): parity
+        bitmasks once per basis monomial, then each term over every column
+        with c q formed once per distinct q.  Entries reach each column in
+        table order, so insertion order is that of the monomial-at-a-time
+        sum."""
         if n in self._matrices:
             return self._matrices[n]
         cols = self._basis(n)
         rows = self._basis(n + 1)
         index = {m: i for i, m in enumerate(rows)}
-        mat = ExactMatrix.from_columns(
-            len(rows), [{index[m]: c for m, c in self._apply(mono).items()}
-                        for mono in cols])
+        odds = []
+        for mono in cols:
+            odd = 0
+            for i, a in enumerate(mono):
+                odd |= (a & 1) << i
+            odds.append(odd)
+        columns = [{} for _ in cols]
+        for k, shift, c, rho, w, u, cap in self._terms:
+            multiples = {1: c}
+            for mono, odd, col in zip(cols, odds, columns):
+                if odd & cap:
+                    continue
+                q = mono[k] if rho == 1 else mono[k] & 1
+                if not q:
+                    continue
+                if (u + (odd & w).bit_count()) % 2:
+                    q = -q
+                coef = multiples.get(q)
+                if coef is None:
+                    coef = multiples[q] = -c if q == -1 else c * q
+                target = index[tuple(map(add, mono, shift))]
+                prev = col.get(target)
+                total = coef if prev is None else prev + coef
+                if total:
+                    col[target] = total
+                else:
+                    del col[target]
+        mat = ExactMatrix.from_columns(len(rows), columns)
         self._matrices[n] = DifferentialMatrix(n, mat, rows, cols)
         return self._matrices[n]
 

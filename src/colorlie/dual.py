@@ -89,7 +89,9 @@ class SignAlgebra:
 
         The exponent roles are fixed by the enumeration oracle: capped
         generators contribute (1+z), free ones 1/(1-z); the degree-d
-        coefficient equals len(monomial_basis(d)).
+        coefficient equals len(monomial_basis(d)).  This closed form gives
+        the Betti numbers of a zero differential (`betti_from_differential`);
+        enumerating the bases is the tests' second route to them.
         """
         j = len(self.square_zero)
         num = RationalSeries.poly_power([1, 1], j)

@@ -148,6 +148,8 @@ def _pivot_rows(vectors):
     pivots."""
     rows = {}
     for vector in vectors:
+        if not vector:
+            continue
         v = residue(vector, rows)
         if v:
             insert(rows, v)

@@ -1,8 +1,9 @@
 """Reference action of the Koszul-dual differential, letter by letter.
 
-The engine's `Differential.apply_monomial` evaluates d on exponent vectors in
-closed form.  This module keeps the definition it regroups: expand f^a into
-its ascending word x_1...x_d and sum
+The engine's `Differential.matrix` evaluates d on exponent vectors in closed
+form, and `apply_monomial` reads one column of it back.  This module keeps
+the definition it regroups: expand f^a into its ascending word x_1...x_d
+and sum
 
     sign(p) x_1...x_{p-1} (d x_p) x_{p+1}...x_d
 

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from conftest import coeff_vectors, spans_equal
 
 from colorlie import catalog, cohomology
-from colorlie.algebra import ColorLieAlgebra
+from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.cohomology import (betti, cup_product, representatives,
                                  representatives_from_differential)
 from colorlie.differential import differential_from_brackets
@@ -230,3 +231,16 @@ def test_representatives_and_cup_products_read_the_basis_off_the_matrix(
             assert product.degree == c.degree + c2.degree
             if not product.is_zero():
                 assert d.apply(product.representative).is_zero()
+
+
+def test_zero_differential_betti_numbers_enumerate_no_basis(monkeypatch):
+    """A zero differential's h_n comes from the Hilbert series: 20 even
+    generators give the exterior algebra on 20 generators as dual, so
+    h_n = C(20, n), and no degree's basis (2^20 monomials in all) is
+    enumerated."""
+    def enumerate_basis(algebra, n):
+        raise AssertionError("monomial_basis(%d) called" % n)
+
+    monkeypatch.setattr(cohomology, "monomial_basis", enumerate_basis)
+    g = ColorLieAlgebra(CommutationMatrix([[1] * 20] * 20), {})
+    assert betti(g, 22).h == [comb(20, n) for n in range(23)]

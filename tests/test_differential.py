@@ -211,6 +211,15 @@ def test_closed_form_matches_letterwise_off_grading():
             _assert_closed_form_matches_letterwise(d, 10, (i, brackets))
 
 
+def test_apply_monomial_rejects_a_monomial_outside_the_basis():
+    """apply_monomial reads a column of matrix(|a|), so it only takes the
+    basis monomials that index those columns."""
+    d = differential_from_brackets(catalog.load(3))  # f1..f3 square-zero
+    for m in [(2, 0, 0), (0, 1, 3)]:
+        with pytest.raises(ValueError):
+            d.apply_monomial(m)
+
+
 def test_leibniz_contract_on_word_splits():
     """d(x*y) = d(x)*y + sum_k eps(x, f_k) x*partial_k(y) whenever the
     concatenation of x and y is already in ascending order; partial_k is the

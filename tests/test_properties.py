@@ -4,8 +4,9 @@ its arithmetic on rationals agrees with Fraction and returns plain
 rationals; every polynomial coefficient of a Scalar or a RationalSeries is a
 plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
 oracle, and recognition's coprime series equals the reduced one; monomial
-bases, PBW normal forms and overlap checks, and Jacobi sums agree with
-their test-only oracles."""
+bases, PBW normal forms and overlap checks, Jacobi sums and the columns of
+the differential matrices agree with their test-only oracles, and a zero
+differential's Betti numbers count the monomial bases."""
 
 from fractions import Fraction
 
@@ -21,12 +22,15 @@ import pbw_oracle  # noqa: E402
 from conftest import (admissible_slots, assert_engine_values_exact,  # noqa: E402
                       assert_exact)
 from jacobi_oracle import defect_values, jacobi_oracle  # noqa: E402
+from letterwise import letterwise_apply  # noqa: E402
 
 from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,  # noqa: E402
                               find_grading)
 from colorlie import catalog  # noqa: E402
 from colorlie.catalog import GENERIC  # noqa: E402
-from colorlie.dual import SignAlgebra  # noqa: E402
+from colorlie.cohomology import betti_from_differential  # noqa: E402
+from colorlie.differential import differential_from_brackets  # noqa: E402
+from colorlie.dual import SignAlgebra, monomial_basis  # noqa: E402
 from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
 from colorlie.pbw import groebner_check, reduce_word, uea_relations  # noqa: E402
 from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
@@ -297,6 +301,29 @@ def test_monomial_basis_matches_the_recursive_oracle(alg, degree):
     assert len(basis) == alg.hilbert_series().expand(degree)[degree]
 
 
+def _abelian_with_dual(alg):
+    """The abelian algebra whose Koszul dual is the sign algebra alg: f_i
+    is square-zero in the dual exactly when e_i is even (s_ii = +1), and
+    f_i, f_j commute exactly when e_i, e_j anticommute."""
+    def sign(i, j):
+        if i == j:
+            return 1 if i in alg.square_zero else -1
+        return -1 if (min(i, j), max(i, j)) in alg.commuting else 1
+    signs = [[sign(i, j) for j in range(alg.n)] for i in range(alg.n)]
+    return ColorLieAlgebra(CommutationMatrix(signs), {})
+
+
+@settings(deadline=None)
+@given(sign_algebras())
+def test_zero_differential_betti_numbers_count_the_basis(alg):
+    """The Hilbert series' coefficients equal the enumerated dimensions."""
+    d = differential_from_brackets(_abelian_with_dual(alg))
+    assert d.algebra == alg
+    assert all(el.is_zero() for el in d.on_generators)
+    assert betti_from_differential(d, 15).h == [
+        len(monomial_basis(alg, n)) for n in range(16)]
+
+
 WORDS = st.lists(st.integers(0, 2), max_size=5).map(tuple)
 # the catalog's rows at the parameters the suite samples, t kept where
 # GENERIC: random admissible brackets rarely satisfy Jacobi
@@ -357,3 +384,30 @@ def test_jacobi_defect_matches_the_dense_oracle_over_q(g):
 @given(dense_algebras(RATIONALS | RATIONAL_FUNCTIONS))
 def test_jacobi_defect_matches_the_dense_oracle_over_qt(g):
     _assert_jacobi_and_antisymmetry(g)
+
+
+def _assert_columns_match_letterwise(g):
+    d = differential_from_brackets(g)
+    for n in range(7):
+        dm = d.matrix(n)
+        for mono, col in zip(dm.col_basis, dm.matrix.columns):
+            assert all(col.values()), (n, mono)
+            assert {dm.row_basis[i]: c for i, c in col.items()} == \
+                letterwise_apply(d, mono), (n, mono)
+
+
+@settings(deadline=None)
+@given(algebras(RATIONALS) | dense_algebras(RATIONALS))
+def test_matrix_columns_match_letterwise_over_q(g):
+    """Each column of d.matrix(n), n <= 6, read through the row basis, is
+    the letter-by-letter sum, and stores no zero: on grading-compatible
+    algebras and on brackets that break the grading and the diagonal rule,
+    with every square-zero pattern the sign matrices allow."""
+    _assert_columns_match_letterwise(g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(algebras(RATIONALS | RATIONAL_FUNCTIONS)
+       | dense_algebras(RATIONALS | RATIONAL_FUNCTIONS))
+def test_matrix_columns_match_letterwise_over_qt(g):
+    _assert_columns_match_letterwise(g)
