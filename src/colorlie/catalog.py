@@ -15,13 +15,13 @@ mismatch rather than patching either side (see README, known discrepancy).
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from .algebra import ColorLieAlgebra, CommutationMatrix, find_grading
+from .files import GENERIC, serialize_algebra
 from .scalars import T
 from .series import RationalSeries
-
-GENERIC = "generic"
 
 _P = 1
 _M = -1
@@ -227,10 +227,6 @@ def export_directory(path):
     Parameterized entries keep the symbol t; pass --param on the command
     line to specialize.  Returns the written file names.
     """
-    import os
-
-    from .files import serialize_algebra
-
     os.makedirs(path, exist_ok=True)
     written = []
     for i in ALL_IDS:

@@ -7,18 +7,15 @@ Exit codes: 0 success, 1 mathematical failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
 
-from . import catalog
 from .cohomology import betti_from_differential, representatives_from_differential
 from .differential import differential_from_brackets
 from .dual import dual_of, enveloping_sign_algebra
-from .files import AlgebraFileError, parse_algebra_file
+from .files import GENERIC, AlgebraFileError, parse_algebra_file
 from .pbw import groebner_check, uea_relations, word_str
 from .series import abelian_closed_form, recognize
 
@@ -104,7 +101,7 @@ def _load(args):
     if not g.has_parameter():
         raise ValueError("parameter %s given, but the algebra has no parameter"
                          % param)
-    if param != catalog.GENERIC:
+    if param != GENERIC:
         try:
             param = Fraction(param)
         except ZeroDivisionError:
@@ -170,6 +167,10 @@ def _pbw_report(g, out):
 
 def _betti_and_series(g, nmax):
     d = differential_from_brackets(g)
+    if d.is_zero():
+        # the Poincare series is the Hilbert series, exactly; fit nothing
+        h = betti_from_differential(d, nmax).h
+        return d, h, d.algebra.hilbert_series()
     long_table = betti_from_differential(d, max(nmax, SERIES_TERMS))
     rec = recognize(long_table.h[:SERIES_TERMS + 1])
     return d, long_table.h[:nmax + 1], rec
@@ -245,6 +246,7 @@ def cmd_pbw(args, out):
 def _table_entries():
     """(id, parameter, algebra, expected series) for every table row: each
     catalog row at each parameter sample, then the abelian family."""
+    from . import catalog
     for table1_id in catalog.ALL_IDS:
         for mu in catalog.parameter_samples(table1_id):
             yield (str(table1_id), _param_str(mu),
@@ -270,11 +272,7 @@ def _table_rows(nmax):
 
 
 def _param_str(mu):
-    if mu is None:
-        return "-"
-    if mu == catalog.GENERIC:
-        return "generic"
-    return str(mu)
+    return "-" if mu is None else str(mu)
 
 
 def cmd_table(args, out):
@@ -282,6 +280,7 @@ def cmd_table(args, out):
     rows = _table_rows(nmax)
     passed = sum(1 for r in rows if r["verdict"] == "PASS")
     if args.format == "json":
+        import json
         payload = {
             "note": RECONCILIATION_NOTE,
             "max_degree": nmax,
@@ -292,6 +291,7 @@ def cmd_table(args, out):
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
     elif args.format == "csv":
+        import csv
         writer = csv.writer(out)
         writer.writerow(["id", "param"] + ["h%d" % i for i in range(nmax + 1)]
                         + ["series", "expected", "verdict"])

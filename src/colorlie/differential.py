@@ -66,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import add
 
-from .dual import DgaElement, dual_of, monomial_basis
+from .dual import DgaElement, dual_of
 from .linalg import ExactMatrix
 
 
@@ -106,6 +106,10 @@ class Differential:
         self._matrices = {}
         self._bases = {}
 
+    def is_zero(self):
+        """True iff the term table is empty, so every matrix is zero."""
+        return not self._terms
+
     def apply_monomial(self, mono):
         """d of one basis monomial: its column of matrix(|mono|), read
         back through the row basis."""
@@ -127,7 +131,7 @@ class Differential:
 
     def _basis(self, n):
         if n not in self._bases:
-            self._bases[n] = monomial_basis(self.algebra, n)
+            self._bases[n] = self.algebra.monomial_basis(n)
         return self._bases[n]
 
     def matrix(self, n):
@@ -173,13 +177,12 @@ class Differential:
                 else:
                     del col[target]
         mat = ExactMatrix.from_columns(len(rows), columns)
-        self._matrices[n] = DifferentialMatrix(n, mat, rows, cols)
+        self._matrices[n] = DifferentialMatrix(mat, rows, cols)
         return self._matrices[n]
 
 
 class DifferentialMatrix:
-    def __init__(self, degree, matrix, row_basis, col_basis):
-        self.degree = degree
+    def __init__(self, matrix, row_basis, col_basis):
         self.matrix = matrix
         self.row_basis = row_basis
         self.col_basis = col_basis

@@ -219,12 +219,6 @@ def multiply(x, y):
     return out
 
 
-def monomial_basis(algebra, degree):
-    # a module function, so that perfbench/traced.py can wrap the name that
-    # cohomology looks up
-    return algebra.monomial_basis(degree)
-
-
 def monomial_str(m):
     if not any(m):
         return "1"

@@ -18,8 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import ColorLieAlgebra, CommutationMatrix, GradingAssignment
-from .catalog import GENERIC
 from .scalars import ScalarParseError, parse_scalar
+
+# the `param` value that keeps the symbol t, over Q(t)
+GENERIC = "generic"
 
 
 class AlgebraFileError(ValueError):

@@ -22,7 +22,7 @@ from conftest import coeff_vectors, spans_equal
 from colorlie import catalog
 from colorlie.cohomology import betti, representatives_from_differential
 from colorlie.differential import check_d_squared, differential_from_brackets
-from colorlie.dual import DgaElement, SignAlgebra, monomial_basis
+from colorlie.dual import DgaElement, SignAlgebra
 from colorlie.pbw import groebner_check, uea_relations
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.scalars import ONE, ZERO
@@ -211,7 +211,7 @@ def test_criterion_8_hilbert_enumeration_64_matrices():
             a = SignAlgebra(3, cm.square_zero_set(), cm.commuting_pairs())
             coeffs = a.hilbert_series().expand(10)
             for deg in range(11):
-                if coeffs[deg] != len(monomial_basis(a, deg)):
+                if coeffs[deg] != len(a.monomial_basis(deg)):
                     failures.append("matrix %s degree %d" % (cm.s, deg))
             count += 1
     assert count == 64
@@ -274,7 +274,7 @@ def test_criterion_10_representative_spans():
                 continue
             if n == 0:
                 continue
-            basis = monomial_basis(d.algebra, n)
+            basis = d.algebra.monomial_basis(n)
             reference = [DgaElement(d.algebra, {m: ONE}) for m in expected]
             ours = [c.representative for c in reps]
             if not spans_equal(coeff_vectors(ours, basis),

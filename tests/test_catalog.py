@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import assert_engine_values_exact, assert_exact
@@ -135,12 +136,18 @@ def test_round_trip_generic_parameter():
 
 
 def test_exported_data_directory_round_trips(tmp_path):
+    """The export parses back to the catalog and is byte for byte the
+    shipped data/algebras/."""
     names = catalog.export_directory(str(tmp_path))
     assert len(names) == 23
     for i in catalog.ALL_IDS:
         g, _ = parse_algebra_file(str(tmp_path / ("case%02d.txt" % i)))
         ref = catalog.load(i)
         assert g.cm == ref.cm and g.brackets == ref.brackets
+    shipped = Path(__file__).resolve().parent.parent / "data" / "algebras"
+    assert sorted(names) == sorted(p.name for p in shipped.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes()
 
 
 def test_shipped_data_files_match_catalog():

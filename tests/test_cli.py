@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
 from colorlie import catalog, cli, differential
+from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.files import (AlgebraFileError, parse_algebra_file,
                             serialize_algebra)
 
@@ -247,9 +253,9 @@ def test_cohomology_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
     built = []
 
     class CountingMatrix(differential.DifferentialMatrix):
-        def __init__(self, degree, *args):
-            built.append(degree)
-            super().__init__(degree, *args)
+        def __init__(self, matrix, row_basis, col_basis):
+            built.append(sum(col_basis[0]))
+            super().__init__(matrix, row_basis, col_basis)
 
     monkeypatch.setattr(differential, "DifferentialMatrix", CountingMatrix)
     path = write_algebra(tmp_path, catalog.load(13))
@@ -258,6 +264,20 @@ def test_cohomology_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     # betti runs to degree SERIES_TERMS; representatives reuse its matrices
     assert sorted(built) == list(range(cli.SERIES_TERMS + 1))
+
+
+def test_cohomology_zero_differential_prints_the_hilbert_series(
+        tmp_path, capsys):
+    """20 even generators: h_n = C(20, n) and the series is (1+z)^20,
+    expanded, where a fit of 41 Betti numbers is inconclusive."""
+    g = ColorLieAlgebra(CommutationMatrix([[1] * 20] * 20), {})
+    path = write_algebra(tmp_path, g)
+    code, out = run(["cohomology", path, "--max-degree", "3"], tmp_path, capsys)
+    assert code == 0
+    assert "betti: 1 20 190 1140\n" in out
+    terms = (["1", "20*z"] + ["%d*z^%d" % (comb(20, n), n) for n in range(2, 20)]
+             + ["z^20"])
+    assert "series: %s\n" % "+".join(terms) in out
 
 
 def test_series_command(tmp_path, capsys):
@@ -387,3 +407,49 @@ def test_round_trip_report_identical(tmp_path, capsys):
     code2, out2 = run(["cohomology", p2, "--max-degree", "6",
                        "--representatives"], tmp_path, capsys)
     assert (code1, out1) == (code2, out2)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CASE13 = str(SRC.parent / "data" / "algebras" / "case13.txt")
+
+
+def fresh_interpreter(code):
+    """Standard output of code run by a new Python process on src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", CASE13, "--max-degree", "2"], ["check", CASE13],
+    ["pbw", CASE13], ["dual", CASE13], ["hilbert", CASE13],
+    ["series", "1"] + ["2"] * 12,
+], ids=lambda argv: argv[0])
+def test_command_loads_no_catalog_json_or_csv(argv):
+    """Only table reads the catalog and writes JSON or CSV."""
+    out = fresh_interpreter(
+        "import sys\nfrom colorlie import cli\ncode = cli.main(%r)\n"
+        "print(code, sorted(m for m in ('colorlie.catalog', 'json', 'csv')"
+        " if m in sys.modules))" % argv)
+    assert out.splitlines()[-1] == "0 []"
+
+
+def test_package_import_loads_no_submodule():
+    out = fresh_interpreter(
+        "import sys, colorlie\n"
+        "print(sorted(m for m in sys.modules if m.startswith('colorlie.')))")
+    assert out == "[]\n"
+
+
+def test_file_format_does_not_load_the_catalog():
+    out = fresh_interpreter(
+        "import sys, colorlie.files\nprint('colorlie.catalog' in sys.modules)")
+    assert out == "False\n"
+
+
+def test_cli_binds_the_names_the_benchmark_tracer_wraps():
+    """perfbench/traced.py wraps these names in the cli module itself."""
+    names = ["parse_algebra_file", "uea_relations", "groebner_check",
+             "differential_from_brackets", "betti_from_differential",
+             "representatives_from_differential", "recognize"]
+    assert [name for name in names if name not in vars(cli)] == []

@@ -5,12 +5,12 @@ from math import comb
 import pytest
 from conftest import coeff_vectors, spans_equal
 
-from colorlie import catalog, cohomology
+from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.cohomology import (betti, cup_product, representatives,
                                  representatives_from_differential)
 from colorlie.differential import differential_from_brackets
-from colorlie.dual import DgaElement, monomial_basis, multiply
+from colorlie.dual import DgaElement, SignAlgebra, multiply
 from colorlie.scalars import ONE
 from colorlie.series import abelian_closed_form
 
@@ -76,8 +76,8 @@ def test_euler_characteristic_finite_duals():
         mu = Fraction(-1) if catalog.entry(i).parameterized else None
         g = catalog.load(i, mu)
         d = differential_from_brackets(g)
-        dims = [len(monomial_basis(d.algebra, n)) for n in range(4)]
-        assert sum(len(monomial_basis(d.algebra, n)) for n in (4, 5)) == 0
+        dims = [len(d.algebra.monomial_basis(n)) for n in range(4)]
+        assert sum(len(d.algebra.monomial_basis(n)) for n in (4, 5)) == 0
         h = betti(g, 3).h
         chi_space = sum((-1) ** n * dims[n] for n in range(4))
         chi_h = sum((-1) ** n * h[n] for n in range(4))
@@ -118,7 +118,7 @@ def test_representatives_case13_degree2():
     d = differential_from_brackets(g)
     alg = d.algebra
     target = DgaElement(alg, {(0, 2, 0): ONE, (0, 0, 2): ONE})  # f2^2 + f3^2
-    basis = monomial_basis(alg, 2)
+    basis = alg.monomial_basis(2)
     assert spans_equal(coeff_vectors([reps[0].representative], basis),
                        coeff_vectors([target], basis))
 
@@ -138,7 +138,7 @@ def test_cup_product_case13_powers():
         sq = DgaElement(alg, {(0, 2, 0): ONE, (0, 0, 2): ONE})
         for _ in range(t):
             power = multiply(power, sq)
-        basis = monomial_basis(alg, 2 * t)
+        basis = alg.monomial_basis(2 * t)
         assert spans_equal(coeff_vectors([c.representative], basis),
                            coeff_vectors([power], basis))
 
@@ -184,7 +184,7 @@ def test_cup_product_association_order_finite_duals():
                     left = cup_product(d, cup_product(d, a, b), c)
                     right = cup_product(d, a, cup_product(d, b, c))
                     n = a.degree + b.degree + c.degree
-                    basis = monomial_basis(d.algebra, n)
+                    basis = d.algebra.monomial_basis(n)
                     if not basis:
                         assert left.is_zero() and right.is_zero()
                         continue
@@ -199,7 +199,7 @@ def test_cup_product_powers_associate_case13():
     sigma = representatives_from_differential(d, 2)[0]
     left = cup_product(d, cup_product(d, sigma, sigma), sigma)
     right = cup_product(d, sigma, cup_product(d, sigma, sigma))
-    basis = monomial_basis(d.algebra, 6)
+    basis = d.algebra.monomial_basis(6)
     assert spans_equal(coeff_vectors([left.representative], basis),
                        coeff_vectors([right.representative], basis))
     assert not left.is_zero()
@@ -213,15 +213,19 @@ def test_betti_table_equality_against_lists():
 @pytest.mark.parametrize("row", [5, 10, 13])
 def test_representatives_and_cup_products_read_the_basis_off_the_matrix(
         row, monkeypatch):
-    """Neither function enumerates a monomial basis: each reads degree n's
-    basis off d.matrix(n - 1) (row 10 is generic, over QQ(t))."""
+    """Neither function enumerates a monomial basis once the matrices are
+    built: each reads degree n's basis off d.matrix(n - 1) (row 10 is
+    generic, over QQ(t)).  Products reach degree 8, and d.apply on one
+    reads matrix(8)."""
     def enumerate_basis(algebra, n):
         raise AssertionError("monomial_basis(%d) called" % n)
 
     g = catalog.load(row)
     h = betti(g, 4).h
     d = differential_from_brackets(g)
-    monkeypatch.setattr(cohomology, "monomial_basis", enumerate_basis)
+    for n in range(9):
+        d.matrix(n)
+    monkeypatch.setattr(SignAlgebra, "monomial_basis", enumerate_basis)
     classes = [c for n in range(5) for c in representatives_from_differential(d, n)]
     assert [sum(c.degree == n for c in classes) for n in range(5)] == h
     for c in classes:
@@ -241,6 +245,6 @@ def test_zero_differential_betti_numbers_enumerate_no_basis(monkeypatch):
     def enumerate_basis(algebra, n):
         raise AssertionError("monomial_basis(%d) called" % n)
 
-    monkeypatch.setattr(cohomology, "monomial_basis", enumerate_basis)
+    monkeypatch.setattr(SignAlgebra, "monomial_basis", enumerate_basis)
     g = ColorLieAlgebra(CommutationMatrix([[1] * 20] * 20), {})
     assert betti(g, 22).h == [comb(20, n) for n in range(23)]

@@ -9,7 +9,7 @@ from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import (Differential, check_d_squared,
                                    differential_from_brackets)
-from colorlie.dual import DgaElement, monomial_basis, multiply
+from colorlie.dual import DgaElement, multiply
 from colorlie.linalg import FIELD_Q, FIELD_QT, echelon, rank
 from colorlie.scalars import ONE, T, ZERO, Scalar
 
@@ -103,7 +103,7 @@ def test_matrices_share_one_basis_per_degree():
             d.matrix(n)
         for n in range(6):
             assert d.matrix(n).row_basis is d.matrix(n + 1).col_basis
-            assert d.matrix(n).col_basis == monomial_basis(d.algebra, n)
+            assert d.matrix(n).col_basis == d.algebra.monomial_basis(n)
 
 
 def test_image_case5_is_f1f2_line():
@@ -171,7 +171,7 @@ def test_d_squared_iff_jacobi_on_perturbations(perturbations):
 
 def _assert_closed_form_matches_letterwise(d, nmax, label):
     for deg in range(nmax + 1):
-        for m in monomial_basis(d.algebra, deg):
+        for m in d.algebra.monomial_basis(deg):
             assert d.apply_monomial(m).coeffs == letterwise_apply(d, m), \
                 (label, m)
 
@@ -234,7 +234,7 @@ def test_leibniz_contract_on_word_splits():
             Differential(alg, g.cm, [el if j == k else DgaElement(alg)
                                      for j, el in enumerate(d.on_generators)])
             for k in range(alg.n)]
-        monos = [m for deg in range(1, 6) for m in monomial_basis(alg, deg)]
+        monos = [m for deg in range(1, 6) for m in alg.monomial_basis(deg)]
         for _ in range(35):
             m = rng.choice(monos)
             w = word(m)
@@ -274,7 +274,7 @@ def test_leibniz_rule_on_basis_monomials(row):
         d = differential_from_brackets(
             catalog.load(row, catalog.engine_parameter(mu)))
         basis = [[DgaElement(d.algebra, {m: ONE})
-                  for m in monomial_basis(d.algebra, n)] for n in range(5)]
+                  for m in d.algebra.monomial_basis(n)] for n in range(5)]
         for a in range(4):
             for b in range(5 - a):
                 for x in basis[a]:
@@ -294,7 +294,7 @@ def test_gamma_degree_preserved():
         g = catalog.load(i, mu)
         d = differential_from_brackets(g)
         monos = [m for deg in range(1, 6)
-                 for m in monomial_basis(d.algebra, deg)]
+                 for m in d.algebra.monomial_basis(deg)]
         for _ in range(25):
             m = rng.choice(monos)
             char = _character(g, m)

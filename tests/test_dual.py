@@ -7,8 +7,8 @@ import pytest
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.dual import (DgaElement, SignAlgebra, dual_of,
-                           enveloping_sign_algebra, monomial_basis,
-                           monomial_str, multiply, quadratic_dual)
+                           enveloping_sign_algebra, monomial_str, multiply,
+                           quadratic_dual)
 from colorlie.scalars import ONE, Scalar, T
 
 ALL_PAIRS = frozenset({(0, 1), (0, 2), (1, 2)})
@@ -71,7 +71,7 @@ def test_dual_of_ordinary_abelian_is_exterior():
 
 def test_monomial_basis_case10_dual_degree3():
     d = dual_of(catalog.load(10, Fraction(2)))
-    basis = monomial_basis(d, 3)
+    basis = d.monomial_basis(3)
     assert len(basis) == 7
     expected = {(0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
                 (1, 2, 0), (1, 1, 1), (1, 0, 2)}
@@ -81,13 +81,13 @@ def test_monomial_basis_case10_dual_degree3():
 
 def test_monomial_basis_degree0():
     d = dual_of(catalog.load(3))
-    assert monomial_basis(d, 0) == [(0, 0, 0)]
+    assert d.monomial_basis(0) == [(0, 0, 0)]
 
 
 def test_monomial_basis_case6_dual_has_four_monomials():
     d = dual_of(catalog.load(6, Fraction(-2)))
     for n in range(2, 8):
-        assert len(monomial_basis(d, n)) == 4
+        assert len(d.monomial_basis(n)) == 4
 
 
 def test_multiply_case6_anticommuting():
@@ -119,8 +119,8 @@ def test_multiply_associative_on_random_monomials():
     for i in catalog.ALL_IDS:
         mu = Fraction(1, 3) if catalog.entry(i).parameterized else None
         alg = dual_of(catalog.load(i, mu))
-        monos = monomial_basis(alg, 1) + monomial_basis(alg, 2) + \
-            monomial_basis(alg, 3)
+        monos = alg.monomial_basis(1) + alg.monomial_basis(2) + \
+            alg.monomial_basis(3)
         for _ in range(40):
             x, y, z = (DgaElement(alg, {rng.choice(monos): ONE})
                        for _ in range(3))
@@ -132,7 +132,7 @@ def test_multiply_sign_commutation_on_monomials():
     for i in (3, 6, 10, 13):
         mu = Fraction(2) if catalog.entry(i).parameterized else None
         alg = dual_of(catalog.load(i, mu))
-        monos = monomial_basis(alg, 1) + monomial_basis(alg, 2)
+        monos = alg.monomial_basis(1) + alg.monomial_basis(2)
         for _ in range(30):
             a, b = rng.choice(monos), rng.choice(monos)
             s1, m1 = alg.multiply_monomials(a, b)
@@ -210,7 +210,7 @@ def test_hilbert_series_closed_forms():
 
 def test_hilbert_series_case6_dual_coefficient():
     d = dual_of(catalog.load(6, Fraction(-2)))
-    assert d.hilbert_series().expand(4)[4] == len(monomial_basis(d, 4)) == 4
+    assert d.hilbert_series().expand(4)[4] == len(d.monomial_basis(4)) == 4
 
 
 def test_hilbert_matches_enumeration_all_64():
@@ -218,7 +218,7 @@ def test_hilbert_matches_enumeration_all_64():
         a = SignAlgebra(3, cm.square_zero_set(), cm.commuting_pairs())
         coeffs = a.hilbert_series().expand(10)
         for deg in range(11):
-            assert coeffs[deg] == len(monomial_basis(a, deg))
+            assert coeffs[deg] == len(a.monomial_basis(deg))
 
 
 def test_hilbert_duality_product_is_one():
