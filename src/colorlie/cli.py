@@ -28,7 +28,7 @@ RECONCILIATION_NOTE = (
 
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_param_values(argv))
     # argparse hands "--opt=--" over unconverted, as [] before Python 3.13
     # and as "--" from 3.13 on; every option takes one value, and series'
     # terms take at least one
@@ -59,6 +59,20 @@ def main(argv=None):
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+
+
+def _attach_param_values(argv):
+    """argv (sys.argv[1:] when None) with "--param -V", or a prefix of
+    --param, joined into "--param=-V" when V starts with a digit: argparse
+    reads only -N and -N.N as numbers, so it takes -1/2 for a flag."""
+    out = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if (out and len(out[-1]) > 2 and "--param".startswith(out[-1])
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .differential import differential_from_brackets
 from .dual import DgaElement, SignAlgebra, multiply
-from .linalg import _pivot_rows, insert, rank, rank_kernel, residue
+from .linalg import insert, rank, rank_kernel, residue
 # unused here, but perfbench/traced.py wraps these names in this module
 from .linalg import echelon_span, image_basis  # noqa: F401
 monomial_basis = SignAlgebra.monomial_basis
@@ -66,12 +66,12 @@ def _element(algebra, vec, basis):
 def _boundaries(d, n):
     """The degree-n monomial basis and the echelon rows of B^n over it, both
     read off d.matrix(n - 1): its row basis is d.matrix(n)'s column basis,
-    the list that kernel vectors index.  The rows are not reduced: `residue`
-    does not need them to be."""
+    the list that kernel vectors index, and the rows, which callers only
+    read, are its kept forward pass, unreduced, as `residue` allows."""
     if n == 0:
         return d.matrix(0).col_basis, {}
     dm = d.matrix(n - 1)
-    return dm.row_basis, _pivot_rows(dm.matrix.columns)
+    return dm.row_basis, dm.matrix.pivot_rows
 
 
 def representatives(g, n):
@@ -82,10 +82,11 @@ def representatives(g, n):
 
 
 def representatives_from_differential(d, n):
-    # echelon rows of B^n, then of B^n plus each class chosen so far
+    # echelon rows of B^n, then (a copy) of B^n plus each class so far
     basis, rows = _boundaries(d, n)
     if not basis:
         return []
+    rows = dict(rows)
     _, kernel = rank_kernel(d.matrix(n).matrix)
     out = []
     for kv in kernel:

@@ -176,7 +176,7 @@ class Differential:
                     col[target] = total
                 else:
                     del col[target]
-        mat = ExactMatrix.from_columns(len(rows), columns)
+        mat = ExactMatrix(len(rows), columns)
         self._matrices[n] = DifferentialMatrix(mat, rows, cols)
         return self._matrices[n]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .linalg import accumulate
 from .scalars import exact
-from .series import RationalSeries
+from .series import abelian_closed_form
 
 
 class SignAlgebra:
@@ -93,10 +93,7 @@ class SignAlgebra:
         the Betti numbers of a zero differential (`betti_from_differential`);
         enumerating the bases is the tests' second route to them.
         """
-        j = len(self.square_zero)
-        num = RationalSeries.poly_power([1, 1], j)
-        den = RationalSeries.poly_power([1, -1], self.n - j)
-        return RationalSeries(num, den)
+        return abelian_closed_form(self.n, self.n - len(self.square_zero))
 
 
 def quadratic_dual(a):

@@ -6,44 +6,42 @@ over Q(t) it is a Scalar when it depends on t and a plain rational when
 not.  All elimination is one forward pass, `_pivot_rows`, which serves both
 fields: it tests zero by truthiness and scales each row to the int 1, so its
 echelon rows have unit pivots, each at the row's smallest index.  `rank`
-counts those pivots and does no more.  Only `echelon` reduces them, once, to
-the reduced row echelon form: zeros on every other row's pivot.  That form
-is unique, so kernel and image bases depend only on the span, not on the
-order of elimination.
+counts the pivots of the pass that a matrix keeps.  Only `echelon` reduces
+a pass, its own, once, to the reduced row echelon form: zeros on every
+other row's pivot.  That form is unique, so kernel and image bases depend
+only on the span, not on the order of elimination.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .scalars import ZERO, Scalar, as_scalar, exact, inverse
+from .scalars import ZERO, Scalar, as_scalar, inverse
 
 FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
 
 
 class ExactMatrix:
-    """Matrix stored as sparse columns: columns[j] is the dict row -> entry
+    """The rows x len(columns) matrix stored as the given sparse columns,
+    taken as they are and never written: columns[j] is the dict row -> entry
     of column j, a plain rational or, where t appears, a Scalar.  Its field
     is read off the entries.  Reads by index return the stored value;
     `data` returns Scalars on either field."""
 
-    def __init__(self, rows, cols):
-        if rows < 0 or cols < 0:
+    def __init__(self, rows, columns):
+        if rows < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
-        self.cols = cols
-        self.columns = [{} for _ in range(cols)]
+        self.cols = len(columns)
+        self.columns = columns
 
-    @classmethod
-    def from_columns(cls, rows, columns):
-        """The rows x len(columns) matrix whose storage is the given list
-        of sparse columns, taken as it is."""
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = len(columns)
-        m.columns = columns
-        return m
+    @cached_property
+    def pivot_rows(self):
+        """`_pivot_rows` of the columns, run on first use and kept; nothing
+        writes to the matrix, so a caller that adds rows copies it."""
+        return _pivot_rows(self.columns)
 
     @property
     def field(self):
@@ -56,14 +54,6 @@ class ExactMatrix:
     def __getitem__(self, ij):
         return self.columns[ij[1]].get(ij[0], 0)
 
-    def __setitem__(self, ij, v):
-        v = exact(v)
-        i, j = ij
-        if v:
-            self.columns[j][i] = v
-        else:
-            self.columns[j].pop(i, None)
-
     @property
     def data(self):
         """Dense rows of Scalars (a fresh copy; the sparse columns are the
@@ -75,11 +65,11 @@ class ExactMatrix:
         return out
 
     def transpose(self):
-        m = ExactMatrix(self.cols, self.rows)
+        columns = [{} for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
             for i, v in col.items():
-                m.columns[i][j] = v
-        return m
+                columns[i][j] = v
+        return ExactMatrix(self.cols, columns)
 
     def product_columns(self, other):
         """The columns of self . other, one fresh sparse dict at a time."""
@@ -92,8 +82,7 @@ class ExactMatrix:
             yield acc
 
     def mul(self, other):
-        return ExactMatrix.from_columns(self.rows,
-                                        list(self.product_columns(other)))
+        return ExactMatrix(self.rows, list(self.product_columns(other)))
 
     def is_zero(self):
         return not any(self.columns)
@@ -187,7 +176,7 @@ def echelon(vectors):
 
 
 def rank(m):
-    return len(_pivot_rows(m.columns))
+    return len(m.pivot_rows)
 
 
 def rank_kernel(m):

@@ -37,12 +37,10 @@ class QuadLinRelation:
             if len(w) != 2:
                 raise ValueError("only quadratic-linear relations are accepted")
         lead = max(quad, key=deglex_key)
-        inv = inverse(quad[lead])
+        inv = -inverse(quad[lead])
         self.lead = lead
-        self.quadratic = {w: c * inv for w, c in quad.items()}
-        self.linear = {k: c * inv for k, c in linear.items() if c}
-        self.rhs = {w: -c for w, c in self.quadratic.items() if w != lead}
-        self.rhs.update(((k,), -c) for k, c in self.linear.items())
+        self.rhs = {w: c * inv for w, c in quad.items() if w != lead}
+        self.rhs.update(((k,), c * inv) for k, c in linear.items() if c)
 
     def __repr__(self):
         return "QuadLinRelation(lead=%r)" % (self.lead,)

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from colorlie import catalog, cli, differential
+from colorlie import catalog, cli, cohomology, differential, linalg
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.files import (AlgebraFileError, parse_algebra_file,
                             serialize_algebra)
+
+DATA = Path(__file__).resolve().parent.parent / "data" / "algebras"
 
 
 def run(argv, tmp_path, capsys):
@@ -214,6 +216,32 @@ def test_option_given_as_double_dash_is_usage_error(tmp_path, capsys, command,
     assert "argument %s" % flag[:-3] in captured.err
 
 
+@pytest.mark.parametrize("argv, param", [
+    (["--param", "-1/2"], "-1/2"),
+    (["--param", "-3"], "-3"),
+    (["--param=-1/2"], "-1/2"),
+    (["--par", "-1/3"], "-1/3"),
+], ids=["fraction", "int", "attached", "prefix"])
+def test_negative_param_value(tmp_path, capsys, argv, param):
+    """argparse takes -1/2 for a flag, since only -N and -N.N look like
+    numbers to it; --param reads it as its value all the same."""
+    path = write_algebra(tmp_path, catalog.load(10))
+    code, out = run(["cohomology", path, "--max-degree", "2"] + argv,
+                    tmp_path, capsys)
+    assert code == 0
+    assert out.startswith("parameter: %s\nbetti: " % param)
+
+
+@pytest.mark.parametrize("tail", [["--param"], ["--param", "--max-degree=2"]],
+                         ids=["last", "before-flag"])
+def test_param_without_value_is_usage_error(tmp_path, capsys, tail):
+    path = write_algebra(tmp_path, catalog.load(10))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cohomology", path] + tail)
+    assert exc.value.code == 2
+    assert "argument --param: expected one argument" in capsys.readouterr().err
+
+
 def test_cohomology_case5(tmp_path, capsys):
     path = write_algebra(tmp_path, catalog.load(5))
     code, out = run(["cohomology", path, "--max-degree", "4"], tmp_path, capsys)
@@ -264,6 +292,27 @@ def test_cohomology_builds_each_matrix_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     # betti runs to degree SERIES_TERMS; representatives reuse its matrices
     assert sorted(built) == list(range(cli.SERIES_TERMS + 1))
+
+
+def test_cohomology_eliminates_each_matrix_once(tmp_path, capsys, monkeypatch):
+    """One forward pass per matrix that rank reads (degrees 0..40) and one
+    per rank_kernel of a representatives degree (0..12): the coboundaries
+    read the pass that rank kept.  Eliminating them again made 66."""
+    calls = []
+    pivot_rows = linalg._pivot_rows
+
+    def counted(vectors):
+        calls.append(1)
+        return pivot_rows(vectors)
+
+    # in every module that binds the name, so a second import is counted
+    for module in (linalg, cohomology):
+        if "_pivot_rows" in vars(module):
+            monkeypatch.setattr(module, "_pivot_rows", counted)
+    code, _ = run(["cohomology", str(DATA / "case13.txt"), "--max-degree",
+                   "12", "--representatives"], tmp_path, capsys)
+    assert code == 0
+    assert cli.SERIES_TERMS + 1 + 13 == len(calls) == 54
 
 
 def test_cohomology_zero_differential_prints_the_hilbert_series(

@@ -10,16 +10,19 @@ from colorlie import linalg
 from colorlie.linalg import (ExactMatrix, FIELD_Q, FIELD_QT, _pivot_rows,
                              echelon, echelon_span, image_basis, rank,
                              rank_kernel, residue)
-from colorlie.scalars import ONE, Scalar, T, ZERO, as_scalar
+from colorlie.scalars import ONE, Scalar, T, ZERO, as_scalar, exact
 
 
 def M(rows):
-    """ExactMatrix from dense rows of ints, Fractions or Scalars."""
-    m = ExactMatrix(len(rows), len(rows[0]) if rows else 0)
+    """ExactMatrix from dense rows of ints, Fractions or Scalars, each entry
+    stored as `exact` gives it and zeros left out."""
+    columns = [{} for _ in (rows[0] if rows else ())]
     for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            m[i, j] = x
-    return m
+        for col, x in zip(columns, row):
+            x = exact(x)
+            if x:
+                col[i] = x
+    return ExactMatrix(len(rows), columns)
 
 
 def dense(vectors, length):
@@ -138,18 +141,14 @@ def test_parametric_rank_matches_random_substitutions():
 
 
 def test_field_follows_the_entries():
-    m = ExactMatrix(2, 2)
-    assert m.field == FIELD_Q
-    m[0, 1] = Fraction(1, 2)
-    assert m.field == FIELD_Q
-    m[1, 0] = T
+    assert M([[0, 0], [0, 0]]).field == FIELD_Q
+    assert M([[0, Fraction(1, 2)], [0, 0]]).field == FIELD_Q
+    m = M([[0, Fraction(1, 2)], [T, 0]])
     assert m.field == FIELD_QT
     assert m.transpose().field == FIELD_QT
     assert m.mul(M([[1, 0], [0, 0]])).field == FIELD_QT
     assert m.mul(M([[0, 0], [0, 1]])).field == FIELD_Q
-    m[1, 0] = 0
-    assert m.field == FIELD_Q
-    m[1, 1] = T / T  # a constant Scalar is stored as the int 1
+    m = M([[0, Fraction(1, 2)], [0, T / T]])  # a constant Scalar is the int 1
     assert type(m[1, 1]) is int and m.field == FIELD_Q
 
 
@@ -160,35 +159,27 @@ def test_bareiss_on_polynomial_entries():
 
 
 def test_zeros_are_not_stored():
-    m = M([[1, 0], [0, 2]])
-    m[0, 0] = 0
-    assert m.columns == [{}, {1: Scalar.from_fraction(2)}]
+    """The columns are the storage, taken as given: an absent entry reads
+    as 0 by index and as ZERO in `data`."""
+    columns = [{}, {1: 2}]
+    m = ExactMatrix(2, columns)
+    assert m.columns is columns and m.cols == 2
+    assert m[0, 0] == 0 and type(m[0, 0]) is int
     assert m.data == [[ZERO, ZERO], [ZERO, Scalar.from_fraction(2)]]
-
-
-def test_setitem_rejects_floats_and_strings():
-    m = ExactMatrix(1, 1)
-    with pytest.raises(TypeError):
-        m[0, 0] = 0.1
-    with pytest.raises(TypeError):
-        m[0, 0] = "1/2"
-    assert m.columns == [{}]
+    assert M([[1, 0], [0, 2]]).transpose().columns == [{0: 1}, {1: 2}]
+    with pytest.raises(ValueError):
+        ExactMatrix(-1, [])
 
 
 def test_rational_matrix_stores_plain_rationals_and_reads_scalars():
     """Over QQ an entry is stored as an int, or as a Fraction when it is
     not integral; a read by index gives the stored value, and `data` gives
     Scalars."""
-    m = ExactMatrix(2, 2)
-    m[0, 0] = Scalar.from_fraction(3)
-    m[1, 0] = Fraction(4, 2)
-    m[0, 1] = Scalar.from_fraction(Fraction(-1, 2))
+    m = M([[Scalar.from_fraction(3), Scalar.from_fraction(Fraction(-1, 2))],
+           [Fraction(4, 2), 0]])
     assert m.columns == [{0: 3, 1: 2}, {0: Fraction(-1, 2)}]
     assert [type(x) for x in m.columns[0].values()] == [int, int]
     assert type(m.columns[1][0]) is Fraction
-    with pytest.raises(TypeError):
-        m[1, 1] = 2.0
-    assert m.columns[1] == {0: Fraction(-1, 2)}
     assert m[0, 0] == 3 and type(m[0, 0]) is int
     assert m[0, 1] == Fraction(-1, 2) and type(m[0, 1]) is Fraction
     assert m[1, 1] == 0 and type(m[1, 1]) is int
@@ -264,13 +255,28 @@ def test_rank_does_not_reduce_earlier_rows(monkeypatch):
 
     monkeypatch.setattr(linalg, "_add_multiple", counted)
     for n in (100, 200):
-        m = ExactMatrix(n + 1, n + 1)
-        for j in range(n):
-            m[j, j] = m[j + 1, j] = 1
-        m[0, n] = 1
+        m = ExactMatrix(n + 1, [{j: 1, j + 1: 1} for j in range(n)] + [{0: 1}])
         calls.clear()
         assert rank(m) == n + 1
         assert len(calls) <= 2 * n
+
+
+def test_matrix_keeps_its_forward_pass(monkeypatch):
+    """The pass over the columns runs once, on first use, and rank reads
+    the kept one."""
+    calls = []
+    pivot_rows = linalg._pivot_rows
+
+    def counted(vectors):
+        calls.append(1)
+        return pivot_rows(vectors)
+
+    monkeypatch.setattr(linalg, "_pivot_rows", counted)
+    m = M([[1, 2], [2, 4]])
+    assert calls == []
+    assert rank(m) == rank(m) == 1
+    assert m.pivot_rows is m.pivot_rows == {0: {0: 1, 1: 2}}
+    assert len(calls) == 1
 
 
 def test_product_and_zero_test():
@@ -319,12 +325,14 @@ def _check_against_oracle(m):
 
 
 def _check_forward_pass(m):
-    """rank counts the forward pass's pivots, which are echelon's; residues
-    against the unreduced rows equal those against the reduced ones (each
-    unit vector reaches the later pivots of its row only through fill)."""
+    """rank counts the pivots of the matrix's kept forward pass, which are
+    echelon's; residues against the unreduced rows equal those against the
+    reduced ones (each unit vector reaches the later pivots of its row only
+    through fill)."""
     rows = _pivot_rows(m.columns)
     reduced = echelon(m.columns)
     assert rank(m) == len(rows)
+    assert m.pivot_rows == rows
     assert sorted(rows) == sorted(reduced)
     assert all(min(row) == p for p, row in rows.items())
     assert_field_pivots(rows, m.field)

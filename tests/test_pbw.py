@@ -23,23 +23,20 @@ def test_uea_relations_heisenberg():
     # anticommutators only: v_i v_j + v_j v_i
     assert set(rels) == {(0, 1), (0, 2), (1, 2)}
     for (i, j), r in rels.items():
-        assert r.quadratic == {(i, j): ONE, (j, i): ONE}
-        assert r.linear == {}
+        assert r.rhs == {(j, i): -ONE}
 
 
 def test_uea_relations_heisenberg_bracket():
     rels = by_lead(uea_relations(catalog.load(5)))
     r = rels[(0, 1)]
-    # v1 v2 + v2 v1 - v3
-    assert r.quadratic == {(0, 1): ONE, (1, 0): ONE}
-    assert r.linear == {2: -ONE}
+    # v1 v2 + v2 v1 - v3: v1 v2 -> -v2 v1 + v3
+    assert r.rhs == {(1, 0): -ONE, (2,): ONE}
 
 
 def test_uea_relations_case7_diagonal():
     rels = by_lead(uea_relations(catalog.load(7)))
     r = rels[(2, 2)]
-    assert r.quadratic == {(2, 2): ONE}
-    assert r.linear == {0: -HALF}
+    assert r.rhs == {(0,): HALF}
 
 
 def test_uea_relations_commutative_abelian():
@@ -47,8 +44,7 @@ def test_uea_relations_commutative_abelian():
     rels = uea_relations(ColorLieAlgebra(cm, {}))
     assert len(rels) == 1
     r = rels[0]
-    assert r.quadratic == {(0, 1): ONE, (1, 0): -ONE}
-    assert r.linear == {}
+    assert r.rhs == {(1, 0): ONE}
 
 
 def test_deglex_order():
@@ -123,9 +119,12 @@ def test_groebner_failures_in_order(tmp_path, capsys, row, vec, failures,
 def test_non_unit_leading_coefficient_reduces_alike(row):
     mu = catalog.GENERIC if catalog.entry(row).parameterized else None
     rels = uea_relations(catalog.load(row, mu))
-    scaled = [QuadLinRelation({w: TWO * c for w, c in r.quadratic.items()},
-                              {k: TWO * c for k, c in r.linear.items()})
-              for r in rels]
+    # r.lead - r.rhs = 0, scaled by 2
+    scaled = [QuadLinRelation(
+        {r.lead: TWO} | {w: -TWO * c for w, c in r.rhs.items() if len(w) == 2},
+        {w[0]: -TWO * c for w, c in r.rhs.items() if len(w) == 1})
+        for r in rels]
+    assert [(r.lead, r.rhs) for r in scaled] == [(r.lead, r.rhs) for r in rels]
     assert groebner_check(scaled) == groebner_check(rels)
     for word in [(0, 1, 2), (2, 1, 0), (2, 2, 1, 1, 0, 0), (1, 0, 2, 1)]:
         assert reduce_word(word, scaled) == reduce_word(word, rels)
