@@ -12,60 +12,45 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .linalg import accumulate
-from .scalars import inverse
-
-Word = tuple  # tuple of generator indices
-
-
-def deglex_key(w):
-    """Sort key for degree-lex with smaller index = bigger letter."""
-    return (len(w), tuple(-i for i in w))
+from .scalars import exact
 
 
 class QuadLinRelation:
-    """A relation lead + (lower quadratic terms) + (linear part) = 0 with the
-    leading coefficient normalized to 1, held as its rewriting rule
-    lead -> rhs, where rhs is minus the other quadratic terms and the linear
-    part (a linear term v_k is the one-letter word (k,))."""
+    """A relation of U(g) held as its rewriting rule lead -> rhs: lead is a
+    two-letter word, and rhs maps words of at most two letters (a linear
+    term v_k is the one-letter word (k,)) to their coefficients."""
 
-    def __init__(self, quadratic, linear):
-        # a zero int, Fraction or Scalar is falsy
-        quad = {w: c for w, c in quadratic.items() if c}
-        if not quad:
-            raise ValueError("relation must have a quadratic part")
-        for w in quad:
-            if len(w) != 2:
-                raise ValueError("only quadratic-linear relations are accepted")
-        lead = max(quad, key=deglex_key)
-        inv = -inverse(quad[lead])
+    def __init__(self, lead, rhs):
+        if len(lead) != 2 or any(len(w) > 2 for w in rhs):
+            raise ValueError("only quadratic-linear relations are accepted")
         self.lead = lead
-        self.rhs = {w: c * inv for w, c in quad.items() if w != lead}
-        self.rhs.update(((k,), c * inv) for k, c in linear.items() if c)
+        self.rhs = rhs
 
     def __repr__(self):
         return "QuadLinRelation(lead=%r)" % (self.lead,)
 
 
 def uea_relations(g):
-    """Defining relations of U(g): v_i v_j - s_ij v_j v_i - <e_i, e_j> for
-    i < j, and v_i^2 - (1/2)<e_i, e_i> where s_ii = -1.  A bracket <e_i, e_i>
-    with s_ii = +1 raises ValueError."""
+    """Rewriting rules of U(g), written from the brackets: v_i v_j ->
+    s_ij v_j v_i + <e_i, e_j> for i < j, and v_i^2 -> (1/2)<e_i, e_i> where
+    s_ii = -1.  A bracket <e_i, e_i> with s_ii = +1 raises ValueError."""
     rels = []
-    n = g.n
+    s = g.cm.s
     half = Fraction(1, 2)
-    for i in range(n):
-        for j in range(i, n):
+    for i in range(g.n):
+        for j in range(i, g.n):
+            vec = g.brackets.get((i, j), ())
             if i < j:
-                linear = {k: -c for k, c in enumerate(g.full_bracket(i, j))}
-                rels.append(QuadLinRelation({(i, j): 1, (j, i): -g.cm.s[i][j]},
-                                            linear))
-            elif g.cm.s[i][i] == -1:
-                vec = g.brackets.get((i, i), ())
-                linear = {k: -half * c for k, c in enumerate(vec)}
-                rels.append(QuadLinRelation({(i, i): 1}, linear))
-            elif (i, i) in g.brackets:
+                rhs = {(j, i): s[i][j]}
+                rhs.update(((k,), c) for k, c in enumerate(vec) if c)
+            elif s[i][i] == -1:
+                rhs = {(k,): exact(half * c) for k, c in enumerate(vec) if c}
+            elif vec:
                 raise ValueError(
                     "diagonal bracket at {0} with s[{0}][{0}] = +1".format(i + 1))
+            else:
+                continue
+            rels.append(QuadLinRelation((i, j), rhs))
     return rels
 
 

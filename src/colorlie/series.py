@@ -133,19 +133,23 @@ def _berlekamp_massey(seq):
     return ptrim(c), L, last_fit
 
 
-def recognize(seq, validation_margin=5):
+# trailing terms beyond 2r that a recurrence of order r must hold on
+VALIDATION_MARGIN = 5
+
+
+def recognize(seq):
     """Minimal rational generating function of an integer sequence, or None.
 
     Fits a minimal linear recurrence (Berlekamp-Massey) and demands that it
-    validated on at least 2r+5 trailing terms beyond the last one used to
-    fit, where r is the order of the reduced recurrence.
+    validated on at least 2r+VALIDATION_MARGIN trailing terms beyond the
+    last one used to fit, where r is the order of the reduced recurrence.
     """
     if len(seq) < 12:
         raise ValueError("recognition needs at least 12 terms")
     c, L, last_fit = _berlekamp_massey(seq)
     nmax = len(seq) - 1
     # r >= 0, so a fit this late cannot validate at any order
-    if nmax - last_fit < validation_margin:
+    if nmax - last_fit < VALIDATION_MARGIN:
         return None
     # numerator: (C * S) truncated below the LFSR length
     s = ptrim(seq)
@@ -155,7 +159,7 @@ def recognize(seq, validation_margin=5):
     # common factor g (g(0) != 0, as C(0) != 0) would give a shorter LFSR
     rs = RationalSeries(num, c, _coprime=True)
     r = len(rs.den) - 1
-    if nmax - last_fit < 2 * r + validation_margin:
+    if nmax - last_fit < 2 * r + VALIDATION_MARGIN:
         return None
     if rs.expand(nmax) != list(seq):
         return None

@@ -93,6 +93,15 @@ def assert_exact(values, field=FIELD_QT):
             assert type(x) in (int, Fraction), (field, x)
 
 
+def assert_canonical(values, field=FIELD_QT):
+    """assert_exact, and every integral rational an int: never a Fraction
+    with denominator 1."""
+    values = list(values)
+    assert_exact(values, field)
+    for x in values:
+        assert not (type(x) is Fraction and x.denominator == 1), (field, x)
+
+
 def assert_field_types(vectors, field):
     """Every entry of the sparse vectors has the type the engine computes
     with on the field (see assert_exact)."""
@@ -122,7 +131,7 @@ def assert_engine_values_exact(g, nmax):
     except ValueError:  # a diagonal bracket at s_ii = +1
         rels = []
     for r in rels:
-        assert_exact(r.rhs.values(), field)
+        assert_canonical(r.rhs.values(), field)
     d = differential_from_brackets(g)
     for el in d.on_generators:
         assert_exact(el.coeffs.values(), field)

@@ -1,9 +1,15 @@
 """Reduction to normal form in U(g) that scans every pending word for the
 deg-lex largest at each step, and the Diamond-Lemma overlap check on top of
-it: the oracle for the tests, independent of the engine's heap."""
+it: the oracle for the tests, independent of the engine's heap.  It keeps
+its own deg-lex key and imports nothing from colorlie.pbw."""
 
 from colorlie.linalg import accumulate
-from colorlie.pbw import deglex_key
+
+
+def deglex_key(w):
+    """Sort key of the degree-lex order, a smaller index being a bigger
+    letter: v_0 > v_1 > ... > v_{n-1}."""
+    return (len(w), tuple(-i for i in w))
 
 
 def _find_lead(word, leads):

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from conftest import assert_canonical
+from pbw_oracle import deglex_key
 
 from colorlie import catalog, cli
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.dual import enveloping_sign_algebra
 from colorlie.files import serialize_algebra
-from colorlie.pbw import (QuadLinRelation, deglex_key, groebner_check,
-                          normal_words, reduce_word, uea_relations, word_str)
+from colorlie.linalg import FIELD_Q, FIELD_QT
+from colorlie.pbw import (QuadLinRelation, groebner_check, normal_words,
+                          reduce_word, uea_relations, word_str)
 from colorlie.scalars import ONE, Scalar, ZERO
 
 HALF = Scalar.from_fraction(Fraction(1, 2))
-TWO = Scalar.from_fraction(Fraction(2))
 
 
 def by_lead(rels):
@@ -34,9 +36,14 @@ def test_uea_relations_heisenberg_bracket():
 
 
 def test_uea_relations_case7_diagonal():
-    rels = by_lead(uea_relations(catalog.load(7)))
-    r = rels[(2, 2)]
-    assert r.rhs == {(0,): HALF}
+    g = catalog.load(7)
+    assert by_lead(uea_relations(g))[(2, 2)].rhs == {(0,): HALF}
+    # with [e3, e3] = 2 e1, half the bracket is the int 1
+    brackets = dict(g.brackets)
+    brackets[(2, 2)] = (2, 0, 0)
+    r = by_lead(uea_relations(ColorLieAlgebra(g.cm, brackets)))[(2, 2)]
+    assert r.rhs == {(0,): 1}
+    assert_canonical(r.rhs.values(), FIELD_Q)
 
 
 def test_uea_relations_commutative_abelian():
@@ -116,18 +123,25 @@ def test_groebner_failures_in_order(tmp_path, capsys, row, vec, failures,
 
 
 @pytest.mark.parametrize("row", catalog.ALL_IDS)
-def test_non_unit_leading_coefficient_reduces_alike(row):
-    mu = catalog.GENERIC if catalog.entry(row).parameterized else None
-    rels = uea_relations(catalog.load(row, mu))
-    # r.lead - r.rhs = 0, scaled by 2
-    scaled = [QuadLinRelation(
-        {r.lead: TWO} | {w: -TWO * c for w, c in r.rhs.items() if len(w) == 2},
-        {w[0]: -TWO * c for w, c in r.rhs.items() if len(w) == 1})
-        for r in rels]
-    assert [(r.lead, r.rhs) for r in scaled] == [(r.lead, r.rhs) for r in rels]
-    assert groebner_check(scaled) == groebner_check(rels)
-    for word in [(0, 1, 2), (2, 1, 0), (2, 2, 1, 1, 0, 0), (1, 0, 2, 1)]:
-        assert reduce_word(word, scaled) == reduce_word(word, rels)
+def test_rules_are_the_relations_with_exact_coefficients(row):
+    """At every sample of the row: lead - rhs is the relation
+    v_i v_j - s_ij v_j v_i - <e_i, e_j> (i < j) or v_i^2 - (1/2)<e_i, e_i>,
+    read off the full bracket table, and every coefficient has its one
+    representation."""
+    for mu in catalog.parameter_samples(row):
+        g = catalog.load(row, catalog.engine_parameter(mu))
+        field = FIELD_QT if g.has_parameter() else FIELD_Q
+        for r in uea_relations(g):
+            i, j = r.lead
+            assert_canonical(r.rhs.values(), field)
+            quadratic = {w: c for w, c in r.rhs.items() if len(w) == 2}
+            linear = [r.rhs.get((k,), 0) for k in range(g.n)]
+            if i < j:
+                assert quadratic == {(j, i): g.cm.s[i][j]}
+                assert linear == list(g.full_bracket(i, j))
+            else:
+                assert quadratic == {} and g.cm.s[i][i] == -1
+                assert [2 * c for c in linear] == list(g.full_bracket(i, i))
 
 
 def test_normal_words_degree_zero():
@@ -172,8 +186,9 @@ def test_groebner_iff_jacobi_on_perturbations(perturbations):
 
 
 def test_cubic_relations_rejected():
-    with pytest.raises(ValueError):
-        QuadLinRelation({(0, 1, 2): ONE}, {})
+    for lead, rhs in [((0, 1, 2), {}), ((0,), {}), ((0, 1), {(2, 1, 0): ONE})]:
+        with pytest.raises(ValueError):
+            QuadLinRelation(lead, rhs)
 
 
 def test_word_str():

@@ -5,8 +5,9 @@ rationals; every polynomial coefficient of a Scalar or a RationalSeries is a
 plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
 oracle, and recognition's coprime series equals the reduced one; monomial
 bases, PBW normal forms and overlap checks, Jacobi sums and the columns of
-the differential matrices agree with their test-only oracles, and a zero
-differential's Betti numbers count the monomial bases."""
+the differential matrices agree with their test-only oracles, each U(g)
+rule rewrites its lead to deg-lex smaller words, and a zero differential's
+Betti numbers count the monomial bases."""
 
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import basis_oracle  # noqa: E402
 import bm_oracle  # noqa: E402
 import pbw_oracle  # noqa: E402
-from conftest import (admissible_slots, assert_engine_values_exact,  # noqa: E402
-                      assert_exact)
+from conftest import (admissible_slots, assert_canonical,  # noqa: E402
+                      assert_engine_values_exact, assert_exact)
 from jacobi_oracle import defect_values, jacobi_oracle  # noqa: E402
 from letterwise import letterwise_apply  # noqa: E402
 
@@ -32,6 +33,7 @@ from colorlie.cohomology import betti_from_differential  # noqa: E402
 from colorlie.differential import differential_from_brackets  # noqa: E402
 from colorlie.dual import SignAlgebra  # noqa: E402
 from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
+from colorlie.linalg import FIELD_Q, FIELD_QT  # noqa: E402
 from colorlie.pbw import groebner_check, reduce_word, uea_relations  # noqa: E402
 from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
                               pgcd, plain_rational, pmul, ptrim)
@@ -347,6 +349,20 @@ def test_pbw_reduction_matches_the_scanning_oracle(g, elements):
         normal = reduce_word(element, rels)
         assert list(normal.items()) == list(
             pbw_oracle.reduce_word(element, rels).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(RATIONALS | RATIONAL_FUNCTIONS) | CATALOG_ALGEBRAS)
+def test_each_rule_rewrites_its_lead_to_smaller_words(g):
+    """Every rule's lead is deg-lex larger, under the oracle's own key, than
+    each two-letter word of its rhs, and every rhs coefficient has its one
+    representation."""
+    field = FIELD_QT if g.has_parameter() else FIELD_Q
+    for r in uea_relations(g):
+        assert_canonical(r.rhs.values(), field)
+        for w in r.rhs:
+            assert len(w) == 1 or (
+                pbw_oracle.deglex_key(r.lead) > pbw_oracle.deglex_key(w))
 
 
 @st.composite
