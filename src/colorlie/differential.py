@@ -43,17 +43,25 @@ dropped.  The constructor tabulates (k, m - e_k, c, rho, w, u, cap mask)
 once per term.
 
 `matrix(n)` evaluates the sum on the whole degree-n basis in one
-term-major pass.  It computes the parity bitmask of each basis monomial
-once per degree; then each term of the table walks all the columns, and
-forms its multiples c q once per distinct q = +-[a_k]_rho, not once per
-entry.  Each column still receives its entries term by term in table
-order, so its dict holds the same entries in the same insertion order as a
+term-major pass.  It reads the basis, the parity bitmask of each basis
+monomial and the row index off the algebra's degree records
+(`SignAlgebra.degree_record`), which the algebra builds once for every
+differential on it; then each term of the table walks all the columns.
+Each term keeps its multiples c q, one per distinct q = +-[a_k]_rho, for
+all degrees, so each is formed once per differential, not once per entry.
+Each column still receives its entries term by term in table order, so
+its dict holds the same entries in the same insertion order as a
 monomial-at-a-time sum.  `apply_monomial` reads one column of that matrix
 back through the row basis; nothing else evaluates the closed form.
 
 Coefficients are the brackets' own values, a plain rational (an int when
-integral, else a Fraction) or, where t appears, a Scalar; `matrix` and
-`apply_monomial` hand them out as they are.
+integral, else a Fraction) or, where t appears, a Scalar.  Every matrix
+entry has that one representation too.  Over Q with a Fraction among the
+coefficients, the table holds c D instead of c, D the lcm of their
+denominators: `matrix` sums ints and divides each entry by D once, as an
+int when D divides it and a Fraction otherwise.  Over Q(t) the table holds
+the coefficients as they are, and a Fraction entry that sums to an integer
+is stored as that int.
 
 This is the letterwise sum regrouped, which the tests keep as the
 reference.  When the brackets respect the grading (eps(f_k, .) = eps(f_i, .)
@@ -64,10 +72,13 @@ brackets that break the grading reach a mod 2.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .dual import DgaElement, dual_of
 from .linalg import ExactMatrix
+from .scalars import Scalar
 
 
 class Differential:
@@ -84,7 +95,7 @@ class Differential:
                  for j in range(n)] for i in range(n)]
         # one entry (k, m - e_k, c, rho, w, u, cap) per term of d f_k, with
         # w and cap as bitmasks
-        self._terms = []
+        terms = []
         for k, el in enumerate(self.on_generators):
             for m, c in el.coeffs.items():
                 if any(m[i] > 1 for i in capped):
@@ -100,11 +111,22 @@ class Differential:
                     w |= bit % 2 << i
                 shift = tuple(e - (j == k) for j, e in enumerate(m))
                 cap = sum(1 << i for i in capped if shift[i] > 0)
-                self._terms.append((k, shift, c, rho, w, right[k] % 2, cap))
-        # degree -> DifferentialMatrix, degree -> monomial basis; nothing
-        # writes to a built matrix or basis
+                terms.append((k, shift, c, rho, w, right[k] % 2, cap))
+        # the common denominator D of a table over Q (module docstring)
+        kinds = {type(term[2]) for term in terms}
+        self._fractions = Fraction in kinds
+        den = 1
+        if self._fractions and Scalar not in kinds:
+            den = lcm(*(term[2].denominator for term in terms))
+        self._denominator = den
+        # each term with c D for c, and its multiples q -> c D q, kept for
+        # every degree
+        self._terms = []
+        for k, shift, c, rho, w, u, cap in terms:
+            c = c if den == 1 else int(c * den)
+            self._terms.append((k, shift, c, rho, w, u, cap, {1: c}))
+        # degree -> DifferentialMatrix; nothing writes to a built matrix
         self._matrices = {}
-        self._bases = {}
 
     def is_zero(self):
         """True iff the term table is empty, so every matrix is zero."""
@@ -129,35 +151,23 @@ class Differential:
             out = out + self.apply_monomial(mono).scale(c)
         return out
 
-    def _basis(self, n):
-        if n not in self._bases:
-            self._bases[n] = self.algebra.monomial_basis(n)
-        return self._bases[n]
-
     def matrix(self, n):
         """Matrix of d on monomial_basis(n), columns indexed by the basis;
         built once per degree and shared by every caller, so read-only.
         matrix(n).row_basis is matrix(n + 1).col_basis.
 
-        Built in one term-major pass (see the module docstring): parity
-        bitmasks once per basis monomial, then each term over every column
-        with c q formed once per distinct q.  Entries reach each column in
-        table order, so insertion order is that of the monomial-at-a-time
-        sum."""
+        Built in one term-major pass (see the module docstring): bases,
+        parity bitmasks and row index from the algebra's degree records,
+        then each term over every column with its kept multiples c q.
+        Entries reach each column in table order, so insertion order is
+        that of the monomial-at-a-time sum; each entry is then made
+        canonical in place."""
         if n in self._matrices:
             return self._matrices[n]
-        cols = self._basis(n)
-        rows = self._basis(n + 1)
-        index = {m: i for i, m in enumerate(rows)}
-        odds = []
-        for mono in cols:
-            odd = 0
-            for i, a in enumerate(mono):
-                odd |= (a & 1) << i
-            odds.append(odd)
+        cols, odds, _ = self.algebra.degree_record(n)
+        rows, _, index = self.algebra.degree_record(n + 1)
         columns = [{} for _ in cols]
-        for k, shift, c, rho, w, u, cap in self._terms:
-            multiples = {1: c}
+        for k, shift, c, rho, w, u, cap, multiples in self._terms:
             for mono, odd, col in zip(cols, odds, columns):
                 if odd & cap:
                     continue
@@ -176,6 +186,17 @@ class Differential:
                     col[target] = total
                 else:
                     del col[target]
+        den = self._denominator
+        if den != 1:
+            for col in columns:
+                for i, v in col.items():
+                    q, r = divmod(v, den)
+                    col[i] = Fraction(v, den) if r else q
+        elif self._fractions:
+            for col in columns:
+                for i, v in col.items():
+                    if type(v) is Fraction and v.denominator == 1:
+                        col[i] = v.numerator
         mat = ExactMatrix(len(rows), columns)
         self._matrices[n] = DifferentialMatrix(mat, rows, cols)
         return self._matrices[n]
@@ -188,11 +209,18 @@ class DifferentialMatrix:
         self.col_basis = col_basis
 
 
-def differential_from_brackets(g):
+def differential_from_brackets(g, algebra=None):
     """d f_k = sum_{i<=j} c_ij^k f_i f_j on dual_of(g).  The word f_i f_j
     with i <= j is already ascending, so every term keeps its sign; a square
-    f_i^2 vanishes when f_i is square-zero in the dual."""
+    f_i^2 vanishes when f_i is square-zero in the dual.
+
+    Given `algebra`, which must equal dual_of(g), d is built on that object,
+    so differentials that share it share its degree records."""
     alg = dual_of(g)
+    if algebra is not None:
+        if algebra != alg:
+            raise ValueError("%r is not the dual algebra %r" % (algebra, alg))
+        alg = algebra
     gens = []
     for k in range(g.n):
         coeffs = {}

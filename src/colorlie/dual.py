@@ -9,9 +9,16 @@ the exponent vectors.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .linalg import accumulate
 from .scalars import exact
 from .series import abelian_closed_form
+
+# One degree of a sign algebra: its monomial basis in lexicographic order,
+# the parity bitmask sum((a_i & 1) << i) of each basis monomial a, and the
+# index monomial -> position in the basis.
+DegreeRecord = namedtuple("DegreeRecord", "basis odds index")
 
 
 class SignAlgebra:
@@ -29,6 +36,8 @@ class SignAlgebra:
         self._flips = [tuple(i for i in range(j + 1, n)
                              if (j, i) not in self.commuting)
                        for j in range(n)]
+        # degree -> DegreeRecord, filled by degree_record
+        self._degrees = {}
 
     def __eq__(self, other):
         return (isinstance(other, SignAlgebra) and self.n == other.n
@@ -46,27 +55,50 @@ class SignAlgebra:
         """Sign picked up by one transposition of f_i past f_j (i != j)."""
         return 1 if tuple(sorted((i, j))) in self.commuting else -1
 
+    def degree_record(self, degree):
+        """The DegreeRecord of one degree: built on first use by one
+        enumeration and kept, so every caller on this algebra object,
+        every differential built on it included, reads the same lists and
+        index; read-only.
+
+        The basis lists all exponent vectors of the given degree respecting
+        the square caps, in lexicographic order.  It is built one position
+        at a time: each level extends every prefix, in order, by each
+        exponent that its remaining degree allows, so the levels stay
+        lexicographic, and carries the prefix's parity bitmask along.  The
+        last two positions are filled together, the last one with whatever
+        degree is left."""
+        record = self._degrees.get(degree)
+        if record is not None:
+            return record
+        n = self.n
+        caps = [1 if i in self.square_zero else degree for i in range(n)]
+        if n < 2:
+            fits = 0 <= degree <= caps[0] if n else degree == 0
+            basis = [(degree,) * n] if fits else []
+            odds = [degree & 1] * len(basis)
+        else:
+            level = [((), degree, 0)]
+            for i, cap in enumerate(caps[:-2]):
+                level = [(prefix + (a,), left - a, odd | ((a & 1) << i))
+                         for prefix, left, odd in level
+                         for a in range(min(cap, left) + 1)]
+            cap, last = caps[-2:]
+            basis, odds = [], []
+            for prefix, left, odd in level:
+                for a in range(max(0, left - last), min(cap, left) + 1):
+                    basis.append(prefix + (a, left - a))
+                    odds.append(odd | ((a & 1) << (n - 2))
+                                | (((left - a) & 1) << (n - 1)))
+        record = self._degrees[degree] = DegreeRecord(
+            basis, odds, {m: i for i, m in enumerate(basis)})
+        return record
+
     def monomial_basis(self, degree):
         """All exponent vectors of the given degree respecting the square
-        caps, in lexicographic order.
-
-        Built one position at a time: each level extends every prefix, in
-        order, by each exponent that its remaining degree allows, so the
-        levels stay lexicographic.  The last two positions are filled
-        together, the last one with whatever degree is left.  Each call
-        enumerates afresh."""
-        if not self.n:
-            return [()] if degree == 0 else []
-        caps = [1 if i in self.square_zero else degree for i in range(self.n)]
-        if self.n == 1:
-            return [(degree,)] if 0 <= degree <= caps[0] else []
-        level = [((), degree)]
-        for cap in caps[:-2]:
-            level = [(prefix + (a,), left - a) for prefix, left in level
-                     for a in range(min(cap, left) + 1)]
-        cap, last = caps[-2:]
-        return [prefix + (a, left - a) for prefix, left in level
-                for a in range(max(0, left - last), min(cap, left) + 1)]
+        caps, in lexicographic order: the basis of degree_record(degree),
+        shared and read-only."""
+        return self.degree_record(degree).basis
 
     def multiply_monomials(self, a, b):
         """(sign, exponent vector) of the product, sign 0 when capped."""

@@ -123,7 +123,8 @@ def assert_engine_values_exact(g, nmax):
     U(g) relations, d on the generators and on each basis monomial, the
     columns and echelon rows of every matrix through degree nmax (over QQ no
     Scalar, and every pivot the int 1), the representatives and their cup
-    products."""
+    products.  The rules, the matrix columns and d on each basis monomial
+    hold every integral rational as an int (assert_canonical)."""
     field = FIELD_QT if g.has_parameter() else FIELD_Q
     assert_exact((c for vec in g.brackets.values() for c in vec), field)
     try:
@@ -139,11 +140,12 @@ def assert_engine_values_exact(g, nmax):
     for n in range(nmax + 1):
         dm = d.matrix(n)
         assert dm.matrix.field in (FIELD_Q, field)
-        assert_field_types(dm.matrix.columns, field)
+        for col in dm.matrix.columns:
+            assert_canonical(col.values(), field)
         assert_field_pivots(echelon(dm.matrix.columns), field)
         assert_field_pivots(echelon(dm.matrix.transpose().columns), field)
         for mono in dm.col_basis:
-            assert_exact(d.apply_monomial(mono).coeffs.values(), field)
+            assert_canonical(d.apply_monomial(mono).coeffs.values(), field)
         classes += representatives_from_differential(d, n)
     for c in classes:
         assert_exact(c.representative.coeffs.values(), field)

@@ -9,6 +9,8 @@ import pytest
 
 from colorlie import catalog, cli, cohomology, differential, linalg
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
+from colorlie.differential import differential_from_brackets
+from colorlie.dual import SignAlgebra
 from colorlie.files import (AlgebraFileError, parse_algebra_file,
                             serialize_algebra)
 
@@ -359,6 +361,24 @@ def test_hilbert_command(tmp_path, capsys):
     assert "enumeration check: OK" in out
 
 
+def test_hilbert_counts_monomials_without_listing_them(
+        tmp_path, capsys, monkeypatch):
+    """12 even generators: U(g_Ab) is the polynomial ring, whose degree-d
+    part has C(d + 11, d) monomials (352,716 at d = 10), counted without
+    enumerating a basis."""
+    def enumerate_basis(algebra, n):
+        raise AssertionError("degree_record(%d) called" % n)
+
+    monkeypatch.setattr(SignAlgebra, "degree_record", enumerate_basis)
+    g = ColorLieAlgebra(CommutationMatrix([[1] * 12] * 12), {})
+    path = write_algebra(tmp_path, g)
+    code, out = run(["hilbert", path], tmp_path, capsys)
+    assert code == 0
+    counts = [comb(d + 11, d) for d in range(11)]
+    assert "coefficients: %s\n" % " ".join(map(str, counts)) in out
+    assert "enumeration check: OK\n" in out
+
+
 def test_pbw_command(tmp_path, capsys):
     path = write_algebra(tmp_path, catalog.load(3))
     code, out = run(["pbw", path], tmp_path, capsys)
@@ -374,6 +394,25 @@ def test_table_text(tmp_path, capsys):
     assert len(fails) == 1 and fails[0].startswith("9")
     assert lines[-1] == "passed 31/32"
     assert code == 1
+
+
+def test_table_rows_share_one_dual_algebra_per_sign_algebra(monkeypatch):
+    """Every row's differential is built on the one object the call keeps
+    for its dual algebra, so rows with equal duals (row 10's six samples
+    among them) read the same degree records."""
+    algebras = []
+
+    def spy(g, algebra=None):
+        d = differential_from_brackets(g, algebra)
+        algebras.append(d.algebra)
+        return d
+
+    monkeypatch.setattr(cli, "differential_from_brackets", spy)
+    cli._table_rows(2)
+    shared = {}
+    for alg in algebras:
+        assert shared.setdefault(alg, alg) is alg
+    assert len(shared) < len(algebras)
 
 
 def test_table_csv_header(tmp_path, capsys):

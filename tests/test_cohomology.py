@@ -215,19 +215,19 @@ def test_betti_table_equality_against_lists():
 @pytest.mark.parametrize("row", [5, 10, 13])
 def test_representatives_and_cup_products_read_the_basis_off_the_matrix(
         row, monkeypatch):
-    """Neither function enumerates a monomial basis once the matrices are
-    built: each reads degree n's basis off d.matrix(n - 1) (row 10 is
-    generic, over QQ(t)).  Products reach degree 8, and d.apply on one
-    reads matrix(8)."""
+    """Neither function reads the algebra's degree records once the
+    matrices are built: each reads degree n's basis off d.matrix(n - 1)
+    (row 10 is generic, over QQ(t)).  Products reach degree 8, and d.apply
+    on one reads matrix(8)."""
     def enumerate_basis(algebra, n):
-        raise AssertionError("monomial_basis(%d) called" % n)
+        raise AssertionError("degree_record(%d) called" % n)
 
     g = catalog.load(row)
     h = betti(g, 4).h
     d = differential_from_brackets(g)
     for n in range(9):
         d.matrix(n)
-    monkeypatch.setattr(SignAlgebra, "monomial_basis", enumerate_basis)
+    monkeypatch.setattr(SignAlgebra, "degree_record", enumerate_basis)
     classes = [c for n in range(5) for c in representatives_from_differential(d, n)]
     assert [sum(c.degree == n for c in classes) for n in range(5)] == h
     for c in classes:
@@ -263,8 +263,8 @@ def test_zero_differential_betti_numbers_enumerate_no_basis(monkeypatch):
     h_n = C(20, n), and no degree's basis (2^20 monomials in all) is
     enumerated."""
     def enumerate_basis(algebra, n):
-        raise AssertionError("monomial_basis(%d) called" % n)
+        raise AssertionError("degree_record(%d) called" % n)
 
-    monkeypatch.setattr(SignAlgebra, "monomial_basis", enumerate_basis)
+    monkeypatch.setattr(SignAlgebra, "degree_record", enumerate_basis)
     g = ColorLieAlgebra(CommutationMatrix([[1] * 20] * 20), {})
     assert betti(g, 22).h == [comb(20, n) for n in range(23)]

@@ -2,14 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import COEFF_POOL, assert_field_pivots, assert_field_types
+from conftest import COEFF_POOL, assert_canonical, assert_field_pivots
 from letterwise import letterwise_apply, word
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import (Differential, check_d_squared,
                                    differential_from_brackets)
-from colorlie.dual import DgaElement, multiply
+from colorlie.dual import DgaElement, dual_of, multiply
 from colorlie.linalg import FIELD_Q, FIELD_QT, echelon, rank
 from colorlie.scalars import ONE, T, ZERO, Scalar
 
@@ -106,6 +106,29 @@ def test_matrices_share_one_basis_per_degree():
             assert d.matrix(n).col_basis == d.algebra.monomial_basis(n)
 
 
+def test_differentials_on_one_algebra_share_its_degree_records():
+    """Row 10 at two parameters has one dual algebra: built on one shared
+    object, both differentials read the same record of each degree, and
+    their matrices the same basis lists; built apart, they read records
+    that are equal but not the same."""
+    g, h = (catalog.load(10, mu) for mu in (Fraction(1, 2), Fraction(3)))
+    shared = dual_of(g)
+    d, e = (differential_from_brackets(x, shared) for x in (g, h))
+    apart = differential_from_brackets(h)
+    for n in range(7):
+        assert d.algebra.degree_record(n) is e.algebra.degree_record(n)
+        assert d.matrix(n).col_basis is e.matrix(n).col_basis
+        assert d.matrix(n).row_basis is e.matrix(n).row_basis
+        assert apart.matrix(n).col_basis == d.matrix(n).col_basis
+        assert apart.matrix(n).col_basis is not d.matrix(n).col_basis
+        assert apart.matrix(n).matrix.columns == e.matrix(n).matrix.columns
+
+
+def test_differential_from_brackets_rejects_another_algebra():
+    with pytest.raises(ValueError):
+        differential_from_brackets(catalog.load(3), dual_of(catalog.load(13)))
+
+
 def test_image_case5_is_f1f2_line():
     from colorlie.linalg import image_basis
     d = differential_from_brackets(catalog.load(5))
@@ -119,9 +142,11 @@ def test_image_case5_is_f1f2_line():
 @pytest.mark.parametrize("row", catalog.ALL_IDS)
 def test_matrix_entries_have_the_field_type(row):
     """Over QQ every entry of d is an int or a Fraction; over QQ(t) it is a
-    Scalar where it depends on t and an int or Fraction where not.
-    Elimination keeps that type and sets each pivot to the int 1.  A
-    matrix reads QQ(t) when one of its entries depends on t."""
+    Scalar where it depends on t and an int or Fraction where not; either
+    way an integral rational is an int (on row 10 at mu = +-2 and +-3,
+    Fraction coefficients sum to integers).  Elimination keeps that type
+    and sets each pivot to the int 1.  A matrix reads QQ(t) when one of
+    its entries depends on t."""
     mus = catalog.parameter_samples(row)
     if catalog.entry(row).parameterized:
         mus = list(dict.fromkeys(mus + [catalog.GENERIC]))
@@ -134,7 +159,8 @@ def test_matrix_entries_have_the_field_type(row):
         for n in range(9):
             m = d.matrix(n).matrix
             fields.add(m.field)
-            assert_field_types(m.columns, field)
+            for col in m.columns:
+                assert_canonical(col.values(), field)
             assert_field_pivots(echelon(m.columns), field)
             assert_field_pivots(echelon(m.transpose().columns), field)
         assert field in fields and fields <= {FIELD_Q, field}

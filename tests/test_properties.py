@@ -4,10 +4,11 @@ its arithmetic on rationals agrees with Fraction and returns plain
 rationals; every polynomial coefficient of a Scalar or a RationalSeries is a
 plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
 oracle, and recognition's coprime series equals the reduced one; monomial
-bases, PBW normal forms and overlap checks, Jacobi sums and the columns of
-the differential matrices agree with their test-only oracles, each U(g)
-rule rewrites its lead to deg-lex smaller words, and a zero differential's
-Betti numbers count the monomial bases."""
+bases and their degree records, PBW normal forms and overlap checks, Jacobi
+sums and the columns of the differential matrices agree with their
+test-only oracles, every matrix entry is canonical, each U(g) rule rewrites
+its lead to deg-lex smaller words, and a zero differential's Betti numbers
+count the monomial bases."""
 
 from fractions import Fraction
 
@@ -297,10 +298,17 @@ def sign_algebras(draw):
 @given(sign_algebras(), st.integers(0, 15))
 def test_monomial_basis_matches_the_recursive_oracle(alg, degree):
     """The same monomials in the same lexicographic order, as many as the
-    Hilbert series' coefficient."""
-    basis = alg.monomial_basis(degree)
+    Hilbert series' coefficient; each monomial's parity bitmask, and an
+    index that inverts the basis.  The record is built once: a second
+    request and monomial_basis read the same objects."""
+    record = alg.degree_record(degree)
+    basis, odds, index = record
     assert basis == basis_oracle.monomial_basis(alg, degree)
     assert len(basis) == alg.hilbert_series().expand(degree)[degree]
+    assert odds == [sum((a & 1) << i for i, a in enumerate(m)) for m in basis]
+    assert index == {m: i for i, m in enumerate(basis)}
+    assert alg.degree_record(degree) is record
+    assert alg.monomial_basis(degree) is basis
 
 
 def _abelian_with_dual(alg):
@@ -400,6 +408,20 @@ def test_jacobi_defect_matches_the_dense_oracle_over_q(g):
 @given(dense_algebras(RATIONALS | RATIONAL_FUNCTIONS))
 def test_jacobi_defect_matches_the_dense_oracle_over_qt(g):
     _assert_jacobi_and_antisymmetry(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras(RATIONALS | CONSTANTS | RATIONAL_FUNCTIONS)
+       | dense_algebras(RATIONALS | RATIONAL_FUNCTIONS))
+def test_matrix_entries_are_canonical(g):
+    """Every entry of d.matrix(n), n <= 8, has its one representation, an
+    integral rational as an int, whichever ints, Fractions and Scalars the
+    coefficients are and however they sum."""
+    field = FIELD_QT if g.has_parameter() else FIELD_Q
+    d = differential_from_brackets(g)
+    for n in range(9):
+        for col in d.matrix(n).matrix.columns:
+            assert_canonical(col.values(), field)
 
 
 def _assert_columns_match_letterwise(g):
