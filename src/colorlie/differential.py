@@ -5,36 +5,41 @@ f_i f_j.  On an ascending word x_1...x_d it is the derivation
 
     d(x_1...x_d) = sum_p sign(p) x_1...x_{p-1} (d x_p) x_{p+1}...x_d,
 
-where sign(p) is the commutation factor of the prefix against the
-differentiated generator, sign(p) = prod_{r<p} eps(x_r, x_p).  (The plain
-homological sign (-1)^(p-1) fails the parameterized catalog rows; the
-commutation-factor variant reproduces the reference Betti and cocycle data
-of acceptance criteria 2 and 10.  The sign is calibrated, not derived, and
-on catalog row 10 at mu = 3, -3, 1/2 it disagrees with the independent
-cochain oracle in the tests; neither side is patched.)
+with sign(p) = (-1)^(p-1) xi(p): the Koszul sign times the sign xi(p) of
+moving x_p left past x_1...x_{p-1} in the dual algebra A^! = A_{[n]-J,
+P-Q}, one -1 per prefix letter that anticommutes with x_p there (a letter
+that repeats is free, and commutes with itself).  A^! commutes f_i and f_j
+(i != j) iff eps(e_i, e_j) = -1 and frees f_k iff eps(e_k, e_k) = -1, so
+sign(p) = prod_{r<p} eps(x_r, x_p).  (The Koszul sign alone misses the
+classified parameterized catalog rows; with xi it reproduces the data of
+acceptance criteria 2 and 10.  It is calibrated, not derived: on row 10 at
+mu = 3, -3, 1/2 it disagrees with the independent cochain oracle in the
+tests, and on some non-injective sign matrices, sl_2 among them, d^2 != 0.
+Neither side is patched.)
 
 The engine evaluates that sum in closed form on the exponent vector a of
 f^a = f_1^a_1 ... f_n^a_n.  Let flip(i, j) = 1 when f_i and f_j
-anticommute in the dual algebra.  For a term c f^m of d f_k, left_i =
+anticommute in A^!.  For a term c f^m of d f_k, left_i =
 sum_{j<i} flip(j, i) m_j and right_i = sum_{j>i} flip(i, j) m_j count the
 letters of f^m that anticommute with f_i and sort before or after it.  The
 a_k letters f_k of the word sit in one block; moving the term from the r-th
-to the (r+1)-th of them multiplies its summand by rho = eps(f_k, f_k)
-(-1)^(left_k + right_k).  The block therefore sums to [a_k]_rho times its
-first summand, with [a]_1 = a and [a]_{-1} = a mod 2, and
+to the (r+1)-th of them multiplies its summand by rho = -(-1)^(left_k +
+right_k): the prefix gains one free letter f_k, and f^m sorts past it.  The
+block sums to [a_k]_rho times its first summand, [a]_1 = a, [a]_{-1} = a mod 2:
 
     d(f^a) = sum_k sum_{c f^m in d f_k}
              c sigma_k s_1 s_2 [a_k]_rho f^(a - e_k + m).
 
-Here sigma_k = (-1)^(sum_{i<k} a_i [eps(f_i, f_k) = -1]) is the prefix
-sign of the first f_k.  Sorting f^m into f^(a_<k) moves each letter f_j of
-m past the letters f_i with j < i < k, so s_1 = (-1)^(sum_{i<k} a_i
-left_i).  Sorting f_k^(a_k - 1) f^(a_>k) in after them moves each of its
-letters f_j past the letters f_i, i > j, of m only, so s_2 =
-(-1)^((a_k - 1) right_k + sum_{j>k} a_j right_j).  So the sign is affine
-over F_2 in the parities of a: sigma_k s_1 s_2 = (-1)^(u + <a mod 2, w>),
-with w_i = left_i + [eps(f_i, f_k) = -1] for i < k, w_i = right_i for
-i >= k and u = right_k, all mod 2.  The term is 0 when a - e_k + m exceeds
+Here sigma_k = (-1)^(sum_{i<k} a_i (1 + flip(i, k))), the sign of the
+first f_k, is the Koszul sign times the A^! sign of moving f_k left past
+f^(a_<k).  Sorting f^m into f^(a_<k) moves each letter f_j of m past the
+letters f_i with j < i < k, so s_1 = (-1)^(sum_{i<k} a_i left_i).  Sorting
+f_k^(a_k - 1) f^(a_>k) in after them moves each of its letters f_j past
+the letters f_i, i > j, of m only, so s_2 = (-1)^((a_k - 1) right_k +
+sum_{j>k} a_j right_j).  So the sign is affine over F_2 in the parities of
+a: sigma_k s_1 s_2 = (-1)^(u + <a mod 2, w>), with w_i = left_i + 1 +
+flip(i, k) for i < k (the Koszul sign alone drops the flip), w_i = right_i
+for i >= k and u = right_k, all mod 2.  The term is 0 when a - e_k + m exceeds
 a square cap; exponents only grow, so no earlier product needs the check.
 A basis monomial has a_i <= 1 at a capped i, so a - e_k + m exceeds the cap
 there exactly when m_i - [i = k] = 1 and a_i is odd: a test on the parity
@@ -82,16 +87,15 @@ from .scalars import Scalar
 
 
 class Differential:
-    def __init__(self, algebra, cm, on_generators):
+    def __init__(self, algebra, on_generators):
         self.algebra = algebra
-        self.cm = cm
         self.on_generators = list(on_generators)
         for el in self.on_generators:
             if not el.is_zero() and el.degree() != 2:
                 raise ValueError("d of a generator must be homogeneous of degree 2")
         n = algebra.n
         capped = algebra.square_zero
-        flip = [[i != j and algebra.anticommute_sign(i, j) == -1
+        flip = [[i < j and (i, j) not in algebra.commuting
                  for j in range(n)] for i in range(n)]
         # one entry (k, m - e_k, c, rho, w, u, cap) per term of d f_k, with
         # w and cap as bitmasks
@@ -104,10 +108,10 @@ class Differential:
                         for i in range(n)]
                 right = [sum(m[j] for j in range(i + 1, n) if flip[i][j])
                          for i in range(n)]
-                rho = cm.s[k][k] * (-1) ** (left[k] + right[k])
+                rho = -(-1) ** (left[k] + right[k])
                 w = 0
                 for i in range(n):
-                    bit = left[i] + (cm.s[i][k] == -1) if i < k else right[i]
+                    bit = left[i] + 1 + flip[i][k] if i < k else right[i]
                     w |= bit % 2 << i
                 shift = tuple(e - (j == k) for j, e in enumerate(m))
                 cap = sum(1 << i for i in capped if shift[i] > 0)
@@ -232,7 +236,7 @@ def differential_from_brackets(g, algebra=None):
             mono[j] += 1
             coeffs[tuple(mono)] = vec[k]
         gens.append(DgaElement(alg, coeffs))
-    return Differential(alg, g.cm, gens)
+    return Differential(alg, gens)
 
 
 def check_d_squared(d, nmax):

@@ -51,10 +51,6 @@ class SignAlgebra:
         return "SignAlgebra(n=%d, J=%s, Q=%s)" % (
             self.n, sorted(self.square_zero), sorted(self.commuting))
 
-    def anticommute_sign(self, i, j):
-        """Sign picked up by one transposition of f_i past f_j (i != j)."""
-        return 1 if tuple(sorted((i, j))) in self.commuting else -1
-
     def degree_record(self, degree):
         """The DegreeRecord of one degree: built on first use by one
         enumeration and kept, so every caller on this algebra object,

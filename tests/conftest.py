@@ -3,6 +3,7 @@ comparisons."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -47,6 +48,19 @@ def random_compatible_algebra(cm, rng):
         vec[k] = c
         brackets[(i, j)] = tuple(vec)
     return ColorLieAlgebra(cm, brackets, grading=find_grading(cm, brackets))
+
+
+def all_sign_matrices():
+    """The 64 symmetric 3x3 sign matrices."""
+    out = []
+    for diag in itertools.product((1, -1), repeat=3):
+        for off in itertools.product((1, -1), repeat=3):
+            s12, s13, s23 = off
+            out.append(CommutationMatrix((
+                (diag[0], s12, s13),
+                (s12, diag[1], s23),
+                (s13, s23, diag[2]))))
+    return out
 
 
 def perturbation_suite(entries, per_matrix, seed=20240817):

@@ -8,8 +8,10 @@ and sum
     sign(p) x_1...x_{p-1} (d x_p) x_{p+1}...x_d
 
 over the positions p, with sign(p) = prod_{r<p} eps(x_r, x_p), normalizing
-each product through the dual sign algebra.  Tests compare the
-two coefficient for coefficient.
+each product through the dual sign algebra.  eps comes from the sign
+matrix of the color algebra, which the caller passes in; the engine reads
+every sign off the dual algebra instead, so the two are separate routes to
+one sign.  Tests compare them coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ def word(mono):
     return out
 
 
-def letterwise_apply(d, mono):
-    """Coefficient dict of d(f^mono), one summand per letter of the word."""
+def letterwise_apply(d, mono, cm):
+    """Coefficient dict of d(f^mono), one summand per letter of the word,
+    with eps from the commutation matrix cm."""
     alg = d.algebra
     w = word(mono)
     acc = {}
@@ -32,7 +35,7 @@ def letterwise_apply(d, mono):
     for p, letter in enumerate(w):
         sign = 1
         for r in range(p):
-            sign *= d.cm.s[w[r]][letter]
+            sign *= cm.s[w[r]][letter]
         suffix = [0] * alg.n
         for r in range(p + 1, len(w)):
             suffix[w[r]] += 1

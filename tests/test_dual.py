@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import all_sign_matrices
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
@@ -12,18 +13,6 @@ from colorlie.dual import (DgaElement, SignAlgebra, dual_of,
 from colorlie.scalars import ONE, Scalar, T
 
 ALL_PAIRS = frozenset({(0, 1), (0, 2), (1, 2)})
-
-
-def all_sign_matrices():
-    out = []
-    for diag in itertools.product((1, -1), repeat=3):
-        for off in itertools.product((1, -1), repeat=3):
-            s12, s13, s23 = off
-            out.append(CommutationMatrix((
-                (diag[0], s12, s13),
-                (s12, diag[1], s23),
-                (s13, s23, diag[2]))))
-    return out
 
 
 def gen(algebra, i):
@@ -142,7 +131,7 @@ def test_multiply_sign_commutation_on_monomials():
                 # commutation sign is a pure function of exponent parities
                 flips = sum(a[p] * b[q] + a[q] * b[p]
                             for p in range(3) for q in range(p + 1, 3)
-                            if alg.anticommute_sign(p, q) == -1)
+                            if (p, q) not in alg.commuting)
                 assert s1 * s2 == 1 if flips % 2 == 0 else s1 * s2 == -1
             else:
                 assert s1 == s2 == 0

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_canonical
+from conftest import (all_sign_matrices, assert_canonical,
+                      random_compatible_algebra)
 from pbw_oracle import deglex_key
 
 from colorlie import catalog, cli
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
+from colorlie.differential import check_d_squared, differential_from_brackets
 from colorlie.dual import enveloping_sign_algebra
 from colorlie.files import serialize_algebra
 from colorlie.linalg import FIELD_Q, FIELD_QT
@@ -183,6 +186,31 @@ def test_groebner_iff_jacobi_on_perturbations(perturbations):
     for g in perturbations:
         ok, _ = groebner_check(uea_relations(g))
         assert ok == (g.jacobi_defect() == []), g.brackets
+
+
+def test_groebner_iff_jacobi_on_every_sign_matrix():
+    """Jacobi <=> the Diamond Lemma on 5 random sign-compatible algebras
+    for each of the 64 symmetric sign matrices, and Jacobi <=> d^2 = 0
+    through degree 4 on the 44 injective ones.  d^2 is not compared on the
+    others: there the calibrated sign can give d^2 != 0 on a Jacobi algebra
+    (the strict xfails in test_differential.py)."""
+    rng = random.Random(5)
+    pbw_outcomes, d2_outcomes = set(), set()
+    injective = 0
+    for cm in all_sign_matrices():
+        injective += cm.is_injective()
+        for _ in range(5):
+            g = random_compatible_algebra(cm, rng)
+            jacobi = g.jacobi_defect() == []
+            assert groebner_check(uea_relations(g))[0] == jacobi, \
+                (cm, g.brackets)
+            pbw_outcomes.add(jacobi)
+            if cm.is_injective():
+                d = differential_from_brackets(g)
+                assert check_d_squared(d, 4) == jacobi, (cm, g.brackets)
+                d2_outcomes.add(jacobi)
+    assert injective == 44
+    assert pbw_outcomes == d2_outcomes == {True, False}
 
 
 def test_cubic_relations_rejected():
