@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from conftest import (all_sign_matrices, assert_canonical,
                       random_compatible_algebra)
+from koszul_oracle import koszul_dual
 from pbw_oracle import deglex_key
 
 from colorlie import catalog, cli
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import check_d_squared, differential_from_brackets
-from colorlie.dual import enveloping_sign_algebra
+from colorlie.dual import dual_of, enveloping_sign_algebra
 from colorlie.files import serialize_algebra
 from colorlie.linalg import FIELD_Q, FIELD_QT
 from colorlie.pbw import (QuadLinRelation, groebner_check, normal_words,
@@ -130,10 +131,14 @@ def test_rules_are_the_relations_with_exact_coefficients(row):
     """At every sample of the row: lead - rhs is the relation
     v_i v_j - s_ij v_j v_i - <e_i, e_j> (i < j) or v_i^2 - (1/2)<e_i, e_i>,
     read off the full bracket table, and every coefficient has its one
-    representation."""
+    representation.  The Koszul pairing of `koszul_oracle`, read off these
+    rules, gives the engine's dual algebra and d on the generators."""
     for mu in catalog.parameter_samples(row):
         g = catalog.load(row, catalog.engine_parameter(mu))
         field = FIELD_QT if g.has_parameter() else FIELD_Q
+        algebra, images = koszul_dual(g)
+        assert algebra == dual_of(g), mu
+        assert images == differential_from_brackets(g).on_generators, mu
         for r in uea_relations(g):
             i, j = r.lead
             assert_canonical(r.rhs.values(), field)
