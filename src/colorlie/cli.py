@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .cohomology import betti_from_differential, representatives_from_differential
 from .differential import differential_from_brackets
-from .dual import dual_of, enveloping_sign_algebra
+from .dual import KEY_BITS, dual_of, enveloping_sign_algebra
 from .files import GENERIC, AlgebraFileError, parse_algebra_file
 from .pbw import groebner_check, uea_relations, word_str
 from .series import abelian_closed_form, recognize
@@ -127,9 +127,12 @@ def _load(args):
 
 
 def _max_degree(args):
-    if args.max_degree < 0:
-        raise ValueError("--max-degree must be non-negative, got %d"
-                         % args.max_degree)
+    """--max-degree, checked before any work: the matrix of d in degree n
+    reads the degree n + 1 basis, whose exponents must fit a packed key."""
+    top = (1 << KEY_BITS) - 2
+    if not 0 <= args.max_degree <= top:
+        raise ValueError("--max-degree must be between 0 and %d, got %d"
+                         % (top, args.max_degree))
     return args.max_degree
 
 
@@ -181,14 +184,15 @@ def _pbw_report(g, out):
 
 
 def _betti_and_series(g, nmax, algebra=None):
+    """d, the Betti numbers h_0..h_m it computed, m >= nmax, and the series
+    recognized from h_0..h_SERIES_TERMS."""
     d = differential_from_brackets(g, algebra)
     if d.is_zero():
         # the Poincare series is the Hilbert series, exactly; fit nothing
         h = betti_from_differential(d, nmax).h
         return d, h, d.algebra.hilbert_series()
-    long_table = betti_from_differential(d, max(nmax, SERIES_TERMS))
-    rec = recognize(long_table.h[:SERIES_TERMS + 1])
-    return d, long_table.h[:nmax + 1], rec
+    h = betti_from_differential(d, max(nmax, SERIES_TERMS)).h
+    return d, h, recognize(h[:SERIES_TERMS + 1])
 
 
 def cmd_cohomology(args, out):
@@ -200,7 +204,14 @@ def cmd_cohomology(args, out):
         return 1
     d, h, rec = _betti_and_series(g, nmax)
     print("parameter: %s" % ("none" if param is None else param), file=out)
-    print("betti: %s" % " ".join(str(x) for x in h), file=out)
+    # h_n = nullity(d_n) - rank(d_{n-1}) < 0 only when the image of d_{n-1}
+    # leaves the kernel of d_n
+    for n, x in enumerate(h):
+        if x < 0:
+            print("betti: FAIL h_%d = %d is negative, so d^2 != 0"
+                  % (n, x), file=out)
+            return 1
+    print("betti: %s" % " ".join(str(x) for x in h[:nmax + 1]), file=out)
     print("series: %s" % (rec if rec is not None else "inconclusive"), file=out)
     if args.representatives:
         for n in range(nmax + 1):
@@ -294,6 +305,7 @@ def _table_rows(nmax):
     for row_id, param, g, expected in _table_entries():
         alg = dual_of(g)
         _, h, rec = _betti_and_series(g, nmax, duals.setdefault(alg, alg))
+        h = h[:nmax + 1]
         rows.append({
             "id": row_id,
             "param": param,

@@ -48,10 +48,16 @@ dropped.  The constructor tabulates (k, m - e_k, c, rho, w, u, cap mask)
 once per term.
 
 `matrix(n)` evaluates the sum on the whole degree-n basis in one
-term-major pass.  It reads the basis, the parity bitmask of each basis
-monomial and the row index off the algebra's degree records
+term-major pass.  It reads the parity bitmask and the packed key of each
+basis monomial and the row index off the algebra's degree records
 (`SignAlgebra.degree_record`), which the algebra builds once for every
 differential on it; then each term of the table walks all the columns.
+The key of f^a is sum_i a_i << (KEY_BITS i), one field per exponent, and
+the table holds each m - e_k packed the same way, as one int.  So a term
+reads a_k, or a_k mod 2 when rho = -1, off the key by a shift and a mask,
+and finds the row of f^(a - e_k + m) as index[key + shift]: adding keys
+adds exponent vectors while every exponent fits its field, which the
+degree records ensure by refusing a degree of 1 << KEY_BITS or more.
 Each term keeps its multiples c q, one per distinct q = +-[a_k]_rho, for
 all degrees, so each is formed once per differential, not once per entry.
 Each column still receives its entries term by term in table order, so
@@ -79,9 +85,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
-from operator import add
 
-from .dual import DgaElement, dual_of
+from .dual import KEY_BITS, DgaElement, dual_of
 from .linalg import ExactMatrix
 from .scalars import Scalar
 
@@ -98,7 +103,7 @@ class Differential:
         flip = [[i < j and (i, j) not in algebra.commuting
                  for j in range(n)] for i in range(n)]
         # one entry (k, m - e_k, c, rho, w, u, cap) per term of d f_k, with
-        # w and cap as bitmasks
+        # m - e_k as a packed key (dual.KEY_BITS) and w and cap as bitmasks
         terms = []
         for k, el in enumerate(self.on_generators):
             for m, c in el.coeffs.items():
@@ -113,8 +118,9 @@ class Differential:
                 for i in range(n):
                     bit = left[i] + 1 + flip[i][k] if i < k else right[i]
                     w |= bit % 2 << i
-                shift = tuple(e - (j == k) for j, e in enumerate(m))
-                cap = sum(1 << i for i in capped if shift[i] > 0)
+                shift = sum((e - (j == k)) << (KEY_BITS * j)
+                            for j, e in enumerate(m))
+                cap = sum(1 << i for i in capped if m[i] - (i == k) > 0)
                 terms.append((k, shift, c, rho, w, right[k] % 2, cap))
         # the common denominator D of a table over Q (module docstring)
         kinds = {type(term[2]) for term in terms}
@@ -123,12 +129,15 @@ class Differential:
         if self._fractions and Scalar not in kinds:
             den = lcm(*(term[2].denominator for term in terms))
         self._denominator = den
-        # each term with c D for c, and its multiples q -> c D q, kept for
+        # each term with c D for c, the offset and mask that read q =
+        # [a_k]_rho off a packed key, and its multiples q -> c D q, kept for
         # every degree
         self._terms = []
         for k, shift, c, rho, w, u, cap in terms:
             c = c if den == 1 else int(c * den)
-            self._terms.append((k, shift, c, rho, w, u, cap, {1: c}))
+            qmask = (1 << KEY_BITS) - 1 if rho == 1 else 1
+            self._terms.append((KEY_BITS * k, qmask, shift, c, w, u, cap,
+                                {1: c}))
         # degree -> DifferentialMatrix; nothing writes to a built matrix
         self._matrices = {}
 
@@ -161,21 +170,23 @@ class Differential:
         matrix(n).row_basis is matrix(n + 1).col_basis.
 
         Built in one term-major pass (see the module docstring): bases,
-        parity bitmasks and row index from the algebra's degree records,
-        then each term over every column with its kept multiples c q.
+        parity bitmasks, packed keys and the row index from the algebra's
+        degree records, then each term over every column with its kept
+        multiples c q, the target row read off the key plus the term's
+        packed shift.
         Entries reach each column in table order, so insertion order is
         that of the monomial-at-a-time sum; each entry is then made
         canonical in place."""
         if n in self._matrices:
             return self._matrices[n]
-        cols, odds, _ = self.algebra.degree_record(n)
-        rows, _, index = self.algebra.degree_record(n + 1)
+        cols, odds, keys, _ = self.algebra.degree_record(n)
+        rows, _, _, index = self.algebra.degree_record(n + 1)
         columns = [{} for _ in cols]
-        for k, shift, c, rho, w, u, cap, multiples in self._terms:
-            for mono, odd, col in zip(cols, odds, columns):
+        for at, qmask, shift, c, w, u, cap, multiples in self._terms:
+            for key, odd, col in zip(keys, odds, columns):
                 if odd & cap:
                     continue
-                q = mono[k] if rho == 1 else mono[k] & 1
+                q = key >> at & qmask
                 if not q:
                     continue
                 if (u + (odd & w).bit_count()) % 2:
@@ -183,7 +194,7 @@ class Differential:
                 coef = multiples.get(q)
                 if coef is None:
                     coef = multiples[q] = -c if q == -1 else c * q
-                target = index[tuple(map(add, mono, shift))]
+                target = index[key + shift]
                 prev = col.get(target)
                 total = coef if prev is None else prev + coef
                 if total:

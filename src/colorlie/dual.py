@@ -15,10 +15,14 @@ from .linalg import accumulate
 from .scalars import exact
 from .series import abelian_closed_form
 
+# Bits per exponent in a packed monomial key sum(a_i << (KEY_BITS * i)):
+# a degree below 1 << KEY_BITS keeps every exponent in its own field.
+KEY_BITS = 16
+
 # One degree of a sign algebra: its monomial basis in lexicographic order,
-# the parity bitmask sum((a_i & 1) << i) of each basis monomial a, and the
-# index monomial -> position in the basis.
-DegreeRecord = namedtuple("DegreeRecord", "basis odds index")
+# the parity bitmask sum((a_i & 1) << i) and the packed key of each basis
+# monomial a, and the index key -> position in the basis.
+DegreeRecord = namedtuple("DegreeRecord", "basis odds keys index")
 
 
 class SignAlgebra:
@@ -61,33 +65,44 @@ class SignAlgebra:
         the square caps, in lexicographic order.  It is built one position
         at a time: each level extends every prefix, in order, by each
         exponent that its remaining degree allows, so the levels stay
-        lexicographic, and carries the prefix's parity bitmask along.  The
-        last two positions are filled together, the last one with whatever
-        degree is left."""
+        lexicographic, and carries the prefix's parity bitmask and packed
+        key along.  The last two positions are filled together, the last
+        one with whatever degree is left.  ValueError for a degree of
+        1 << KEY_BITS or more, whose exponents would overflow their key
+        fields."""
         record = self._degrees.get(degree)
         if record is not None:
             return record
+        if degree >= 1 << KEY_BITS:
+            raise ValueError("degree %d is past the largest packed degree %d"
+                             % (degree, (1 << KEY_BITS) - 1))
         n = self.n
         caps = [1 if i in self.square_zero else degree for i in range(n)]
         if n < 2:
             fits = 0 <= degree <= caps[0] if n else degree == 0
             basis = [(degree,) * n] if fits else []
             odds = [degree & 1] * len(basis)
+            keys = [degree] * len(basis)
         else:
-            level = [((), degree, 0)]
+            level = [((), degree, 0, 0)]
             for i, cap in enumerate(caps[:-2]):
-                level = [(prefix + (a,), left - a, odd | ((a & 1) << i))
-                         for prefix, left, odd in level
+                at = KEY_BITS * i
+                level = [(prefix + (a,), left - a, odd | ((a & 1) << i),
+                          key | (a << at))
+                         for prefix, left, odd, key in level
                          for a in range(min(cap, left) + 1)]
             cap, last = caps[-2:]
-            basis, odds = [], []
-            for prefix, left, odd in level:
+            at = KEY_BITS * (n - 2)
+            at_last = at + KEY_BITS
+            basis, odds, keys = [], [], []
+            for prefix, left, odd, key in level:
                 for a in range(max(0, left - last), min(cap, left) + 1):
-                    basis.append(prefix + (a, left - a))
-                    odds.append(odd | ((a & 1) << (n - 2))
-                                | (((left - a) & 1) << (n - 1)))
+                    b = left - a
+                    basis.append(prefix + (a, b))
+                    odds.append(odd | (a & 1) << (n - 2) | (b & 1) << (n - 1))
+                    keys.append(key | a << at | b << at_last)
         record = self._degrees[degree] = DegreeRecord(
-            basis, odds, {m: i for i, m in enumerate(basis)})
+            basis, odds, keys, {key: i for i, key in enumerate(keys)})
         return record
 
     def monomial_basis(self, degree):

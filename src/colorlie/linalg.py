@@ -14,10 +14,11 @@ only on the span, not on the order of elimination.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .scalars import ZERO, Scalar, as_scalar, inverse
+from .scalars import ZERO, Scalar, as_scalar
 
 FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
@@ -111,8 +112,8 @@ def accumulate(v, i, c):
 
 def residue(vector, rows):
     """The vector minus the combination of the echelon rows {pivot: row}
-    that clears it on every pivot.  That result is unique, so the rows may
-    be reduced or not."""
+    that clears it on every pivot, every integral rational an int.  That
+    result is unique, so the rows may be reduced or not."""
     v = dict(vector)
     todo = [p for p in v if p in rows]
     heapify(todo)
@@ -128,18 +129,20 @@ def residue(vector, rows):
             if i not in v and i in rows:  # a pivot this row fills in
                 heappush(todo, i)
         _add_multiple(v, -f, row)
+    _integral_as_int(v)
     return v
 
 
 def _pivot_rows(vectors):
     """Echelon rows of the span of sparse vectors, as {pivot: row}: row[pivot]
     is the int 1 and pivot = min(row); rows may have entries on each other's
-    pivots."""
+    pivots.  A vector that touches no pivot is its own residue, so it goes
+    to `insert` as it is, which copies it."""
     rows = {}
     for vector in vectors:
         if not vector:
             continue
-        v = residue(vector, rows)
+        v = vector if rows.keys().isdisjoint(vector) else residue(vector, rows)
         if v:
             insert(rows, v)
     return rows
@@ -147,18 +150,37 @@ def _pivot_rows(vectors):
 
 def insert(rows, v):
     """Add a nonzero residue v (zero on every pivot) to the echelon rows
-    {pivot: row} in place, scaled to a unit pivot at min(v); the other rows
-    are not reduced against it."""
+    {pivot: row} in place, as a new row scaled to a unit pivot at min(v);
+    v itself is never stored, and the other rows are not reduced against
+    it.  When v holds every integral rational as an int, so does the row."""
     p = min(v)
     x = v[p]
-    # the scaled pivot is the int 1, so only the other entries need
-    # arithmetic
     if len(v) == 1:
-        v = {p: 1}
-    elif type(x) is not int or x != 1:
-        inv = inverse(x)
-        v = {i: 1 if i == p else y * inv for i, y in v.items()}
-    rows[p] = v
+        row = {p: 1}
+    elif type(x) is int and x == 1:
+        row = dict(v)
+    else:
+        row = {i: _quotient(y, x) for i, y in v.items()}
+        row[p] = 1
+    rows[p] = row
+
+
+def _quotient(y, x):
+    """y / x for a nonzero x, an int whenever it is integral: an int over
+    an int by divmod, anything else by the operands' own division."""
+    if type(y) is int and type(x) is int:
+        q, r = divmod(y, x)
+        return Fraction(y, x) if r else q
+    z = y / x
+    return z.numerator if type(z) is Fraction and z.denominator == 1 else z
+
+
+def _integral_as_int(v):
+    """Store each integral Fraction entry of v as its int, in place; sums
+    of Fractions can be integral."""
+    for i, y in v.items():
+        if type(y) is Fraction and y.denominator == 1:
+            v[i] = y.numerator
 
 
 def echelon(vectors):
@@ -170,8 +192,11 @@ def echelon(vectors):
     # is reduced, subtracting those rows puts nothing on a pivot
     for p in sorted(rows, reverse=True):
         row = rows[p]
-        for q in [q for q in row if q != p and q in rows]:
+        reduce_by = [q for q in row if q != p and q in rows]
+        for q in reduce_by:
             _add_multiple(row, -row[q], rows[q])
+        if reduce_by:
+            _integral_as_int(row)
     return rows
 
 

@@ -1,6 +1,10 @@
 """Monomial bases of a sign algebra by recursion over the exponent
 positions, one call per node of the enumeration tree: the oracle for the
-tests, independent of the engine's level-by-level enumeration."""
+tests, independent of the engine's level-by-level enumeration.  Packed
+monomial keys are unpacked field by field, by division rather than by the
+engine's shifts."""
+
+from colorlie.dual import KEY_BITS
 
 
 def monomial_basis(algebra, degree):
@@ -25,3 +29,14 @@ def monomial_basis(algebra, degree):
 
     rec((), degree)
     return out
+
+
+def unpack_key(key, n):
+    """The exponent vector of a packed key: its n base-2^KEY_BITS digits,
+    least significant first."""
+    out = []
+    for _ in range(n):
+        key, a = divmod(key, 2 ** KEY_BITS)
+        out.append(a)
+    assert key == 0, "key has digits past position %d" % n
+    return tuple(out)

@@ -10,7 +10,7 @@ import pytest
 from colorlie import catalog, cli, cohomology, differential, linalg
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import differential_from_brackets
-from colorlie.dual import SignAlgebra
+from colorlie.dual import KEY_BITS, SignAlgebra
 from colorlie.files import (AlgebraFileError, parse_algebra_file,
                             serialize_algebra)
 
@@ -98,6 +98,36 @@ def test_cohomology_negative_max_degree_exit_code(tmp_path, capsys):
 def test_table_negative_max_degree_exit_code(tmp_path, capsys):
     code, out = run(["table", "--max-degree", "-1"], tmp_path, capsys)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("command", [["cohomology", "case13.txt"],
+                                     ["table"]])
+def test_max_degree_past_the_key_width_exit_code(capsys, command):
+    """The degree-n matrix reads the degree n + 1 basis, whose exponents
+    must fit KEY_BITS bits: a larger --max-degree is an input error,
+    reported before any work."""
+    argv = [str(DATA / a) if a.endswith(".txt") else a for a in command]
+    top = (1 << KEY_BITS) - 2
+    assert cli.main(argv + ["--max-degree", str(top + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree must be between 0 and %d" % top in captured.err
+
+
+def test_negative_betti_number_is_a_failure(tmp_path, capsys):
+    """Classical sl_2 (every sign +1, [h, e] = 2e, [h, f] = -2f, [e, f] =
+    h): the calibrated sign gives d^2 != 0 and h_2 = -1, which cohomology
+    reports as a failure instead of printing it as a Betti number and a
+    series.  A derived sign (ROADMAP item 1) gives 1 + z^3 instead."""
+    path = tmp_path / "sl2.txt"
+    path.write_text("dim 3\nsigns\n+1 +1 +1\n+1 +1 +1\n+1 +1 +1\n"
+                    "bracket 1 2 : 0 2 0\nbracket 1 3 : 0 0 -2\n"
+                    "bracket 2 3 : 1 0 0\n", encoding="utf-8")
+    code, out = run(["cohomology", str(path), "--max-degree", "6"],
+                    tmp_path, capsys)
+    assert code == 1
+    assert out == ("parameter: none\n"
+                   "betti: FAIL h_2 = -1 is negative, so d^2 != 0\n")
 
 
 def test_param_zero_denominator_exit_code(tmp_path, capsys):

@@ -108,6 +108,25 @@ def test_matrices_share_one_basis_per_degree():
             assert d.matrix(n).col_basis == d.algebra.monomial_basis(n)
 
 
+def test_matrix_past_one_byte_matches_letterwise():
+    """On a free dual algebra, columns of d.matrix(299) whose exponents and
+    targets pass 255, read through the row basis, are the letterwise sum:
+    the packed keys carry each exponent in its own field."""
+    cm = CommutationMatrix(((-1, -1, 1), (-1, -1, 1), (1, 1, -1)))
+    g = ColorLieAlgebra(cm, {(0, 0): (0, 2, 0), (0, 1): (0, 0, 3),
+                             (1, 2): (-1, 0, 0), (2, 2): (1, 1, 0)})
+    d = differential_from_brackets(g)
+    assert not d.algebra.square_zero
+    dm = d.matrix(299)
+    index = {m: j for j, m in enumerate(dm.col_basis)}
+    for mono in [(299, 0, 0), (0, 299, 0), (0, 0, 299), (100, 100, 99),
+                 (255, 1, 43), (1, 256, 42), (256, 0, 43)]:
+        col = dm.matrix.columns[index[mono]]
+        assert col, mono
+        assert {dm.row_basis[i]: c for i, c in col.items()} == \
+            letterwise_apply(d, mono, cm), mono
+
+
 def test_differentials_on_one_algebra_share_its_degree_records():
     """Row 10 at two parameters has one dual algebra: built on one shared
     object, both differentials read the same record of each degree, and

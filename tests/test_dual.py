@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from basis_oracle import unpack_key
 from conftest import all_sign_matrices
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
-from colorlie.dual import (DgaElement, SignAlgebra, dual_of,
+from colorlie.dual import (KEY_BITS, DgaElement, SignAlgebra, dual_of,
                            enveloping_sign_algebra, monomial_str, multiply,
                            quadratic_dual)
 from colorlie.scalars import ONE, Scalar, T
@@ -147,6 +148,28 @@ def sign_algebras(max_n=4):
             for q_bits in itertools.product((0, 1), repeat=len(pairs)):
                 yield SignAlgebra(n, square_zero, {p for p, bit in
                                                    zip(pairs, q_bits) if bit})
+
+
+def test_degree_record_keys_hold_exponents_past_one_byte():
+    """Degree 300 on a free algebra: every exponent, up to 300, unpacks
+    from its own field of the key, and the index inverts the keys."""
+    alg = SignAlgebra(3, set(), {(0, 1)})
+    basis, _, keys, index = alg.degree_record(300)
+    assert len(basis) == 301 * 302 // 2
+    assert [unpack_key(key, 3) for key in keys] == basis
+    assert index == {key: i for i, key in enumerate(keys)}
+
+
+def test_degree_record_rejects_a_degree_past_the_key_width():
+    """The largest degree whose exponents fit is (1 << KEY_BITS) - 1; the
+    next one raises before enumerating anything, even where its basis would
+    have billions of monomials."""
+    top = (1 << KEY_BITS) - 1
+    line = SignAlgebra(1, set(), set())
+    assert line.degree_record(top).keys == [top]
+    for alg in (line, SignAlgebra(3, set(), set())):
+        with pytest.raises(ValueError, match="past the largest"):
+            alg.degree_record(top + 1)
 
 
 def test_monomial_basis_matches_brute_force():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from bareiss import bareiss_pivots, bareiss_rank
-from conftest import assert_field_pivots, assert_field_types
+from conftest import assert_canonical, assert_field_pivots, assert_field_types
 from hypothesis import given, settings, strategies as st
 
 from colorlie import linalg
@@ -241,6 +241,22 @@ def test_residue_clears_a_pivot_reached_only_through_fill():
     assert residue({0: 1}, echelon(rows.values())) == {2: 1}
 
 
+def test_scaled_rows_hold_integral_entries_as_ints():
+    """Scaling by the pivot 2 divides ints by an int: 4 / 2 is the int 2,
+    3 / 2 the Fraction.  A residue with the pivot 1 keeps its entries, but
+    1/2 - (-1/2) is stored as the int 1.  A column that touches no pivot is
+    stored as a copy, so reducing the rows leaves it as it was."""
+    rows = _pivot_rows([{0: 2, 1: 4, 2: 3}])
+    assert rows == {0: {0: 1, 1: 2, 2: Fraction(3, 2)}}
+    assert type(rows[0][1]) is int
+    rows = _pivot_rows([{0: 1, 2: Fraction(-1, 2)},
+                        {0: 1, 1: 1, 2: Fraction(1, 2)}])
+    assert rows[1] == {1: 1, 2: 1} and type(rows[1][2]) is int
+    columns = [{0: 1, 1: 1}, {1: 1}]
+    assert echelon(columns) == {0: {0: 1}, 1: {1: 1}}
+    assert columns == [{0: 1, 1: 1}, {1: 1}]
+
+
 def test_rank_does_not_reduce_earlier_rows(monkeypatch):
     """rank is one forward pass.  On the columns e_j + e_(j+1) (j < n) and
     e_0, whose residue runs through every pivot, it makes about one row
@@ -354,3 +370,15 @@ def test_sparse_elimination_matches_bareiss_over_q(m):
 def test_sparse_elimination_matches_bareiss_over_qt(m):
     _check_against_oracle(m)
     _check_forward_pass(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices(RATIONALS))
+def test_echelon_rows_are_canonical_over_q(m):
+    """Every entry of the forward pass's rows and of the reduced rows, of
+    the columns and of the rows of m, is an int when it is integral: so
+    are quotients by the pivot and sums of Fractions."""
+    for vectors in (m.columns, m.transpose().columns):
+        for rows in (_pivot_rows(vectors), echelon(vectors)):
+            for row in rows.values():
+                assert_canonical(row.values(), FIELD_Q)

@@ -5,7 +5,8 @@ its exit code and one SHA-256 of its stdout, so a failure names the command
 whose output moved.  The command lines are `table --max-degree 12` in every
 format, `check`, `pbw`, `dual`, `hilbert` and `cohomology --max-degree 12
 --representatives` on every file in data/algebras/, and `cohomology` at the
-catalog's rational parameter samples.
+catalog's rational parameter samples, and `cohomology --max-degree 300` on
+case13, whose exponents pass one byte.
 
 A refactor keeps every digest.  An intended output change (for example a
 derived sign convention that moves row 10's series) updates the digests it
@@ -35,6 +36,8 @@ def command_lines():
             if value is not None:
                 lines.append(["cohomology", "data/algebras/case%02d.txt" % row,
                               "--param", str(value)] + COHOMOLOGY)
+    lines.append(["cohomology", "data/algebras/case13.txt",
+                  "--max-degree", "300"])
     return lines
 
 
@@ -308,6 +311,8 @@ DIGESTS = {
         (0, '098f6efc4033dab5879d20d186ba5959d1053f50445340339385e3af7c4080e1'),
     'cohomology data/algebras/case10.txt --param 2 --max-degree 12 --representatives':
         (0, '3233795743ffca305dee834088c96194dffb9c06b0448f247ec758fbb6f451e0'),
+    'cohomology data/algebras/case13.txt --max-degree 300':
+        (0, 'e613be661072e4a9f3938a5b38a4063a12faa39bc6ea6c48c18958ea669390d8'),
 }
 
 

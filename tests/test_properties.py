@@ -6,10 +6,12 @@ plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
 oracle, and recognition's coprime series equals the reduced one; monomial
 bases and their degree records, PBW normal forms and overlap checks, Jacobi
 sums, the columns of the differential matrices and the Koszul pairing
-agree with their test-only oracles, every matrix entry is canonical, each
-U(g) rule rewrites its lead to deg-lex smaller words, and a zero
-differential's Betti numbers count the monomial bases."""
+agree with their test-only oracles, every matrix entry is canonical,
+elimination never writes to a matrix's columns, each U(g) rule rewrites
+its lead to deg-lex smaller words, and a zero differential's Betti numbers
+count the monomial bases."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -31,11 +33,13 @@ from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,  # noqa: E402
                               find_grading)
 from colorlie import catalog  # noqa: E402
 from colorlie.catalog import GENERIC  # noqa: E402
-from colorlie.cohomology import betti_from_differential  # noqa: E402
+from colorlie.cohomology import (betti_from_differential,  # noqa: E402
+                                 representatives_from_differential)
 from colorlie.differential import differential_from_brackets  # noqa: E402
 from colorlie.dual import SignAlgebra, dual_of  # noqa: E402
 from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
-from colorlie.linalg import FIELD_Q, FIELD_QT  # noqa: E402
+from colorlie.linalg import (FIELD_Q, FIELD_QT, echelon, rank,  # noqa: E402
+                             rank_kernel)
 from colorlie.pbw import groebner_check, reduce_word, uea_relations  # noqa: E402
 from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
                               pgcd, plain_rational, pmul, ptrim)
@@ -299,15 +303,17 @@ def sign_algebras(draw):
 @given(sign_algebras(), st.integers(0, 15))
 def test_monomial_basis_matches_the_recursive_oracle(alg, degree):
     """The same monomials in the same lexicographic order, as many as the
-    Hilbert series' coefficient; each monomial's parity bitmask, and an
-    index that inverts the basis.  The record is built once: a second
-    request and monomial_basis read the same objects."""
+    Hilbert series' coefficient; each monomial's parity bitmask, packed
+    keys that unpack to the basis, and an index that inverts the keys.
+    The record is built once: a second request and monomial_basis read the
+    same objects."""
     record = alg.degree_record(degree)
-    basis, odds, index = record
+    basis, odds, keys, index = record
     assert basis == basis_oracle.monomial_basis(alg, degree)
     assert len(basis) == alg.hilbert_series().expand(degree)[degree]
     assert odds == [sum((a & 1) << i for i, a in enumerate(m)) for m in basis]
-    assert index == {m: i for i, m in enumerate(basis)}
+    assert [basis_oracle.unpack_key(key, alg.n) for key in keys] == basis
+    assert index == {key: i for i, key in enumerate(keys)}
     assert alg.degree_record(degree) is record
     assert alg.monomial_basis(degree) is basis
 
@@ -423,6 +429,33 @@ def test_matrix_entries_are_canonical(g):
     for n in range(9):
         for col in d.matrix(n).matrix.columns:
             assert_canonical(col.values(), field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras(SMALL_INTS | RATIONALS | RATIONAL_FUNCTIONS)
+       | dense_algebras(SMALL_INTS | RATIONALS) | CATALOG_ALGEBRAS)
+def test_elimination_leaves_the_matrix_columns_as_built(g):
+    """rank, echelon, rank_kernel and the representatives never write to a
+    matrix's columns through degree 4: a column that becomes a row as it is
+    goes in as a copy, which echelon may then reduce in place.  No row of
+    either pass is a column, and the columns are checked after each step,
+    since later steps read the kept forward pass of earlier matrices.  Small
+    integer brackets and the catalog rows bring the unit pivots that let a
+    column become a row unscaled.  Dense brackets stay over Q: eliminating
+    their columns over Q(t) can swell without bound."""
+    d = differential_from_brackets(g)
+    matrices = [d.matrix(n).matrix for n in range(5)]
+    built = copy.deepcopy([m.columns for m in matrices])
+    for n, m in enumerate(matrices):
+        rank(m)
+        columns = {id(col) for col in m.columns}
+        assert not columns & {id(row) for row in m.pivot_rows.values()}, n
+        rows = echelon(m.columns)
+        assert not columns & {id(row) for row in rows.values()}, n
+        assert [c.columns for c in matrices] == built, n
+        rank_kernel(m)
+        representatives_from_differential(d, n)
+        assert [c.columns for c in matrices] == built, n
 
 
 def _assert_columns_match_letterwise(g):
