@@ -43,20 +43,23 @@ def betti(g, nmax):
 
 def betti_from_differential(d, nmax):
     """h_n = nullity(d_n) - rank(d_{n-1}) for n <= nmax, from the matrices
-    of d.  A zero differential has h_n = the dimension of degree n, which
-    the closed-form Hilbert series gives without enumerating a basis; the
-    tests count monomial_basis as the second route."""
+    of d through the algebra's top degree; h_n = 0 past it, where every
+    space is zero, so no matrix past it is built.  A zero differential has
+    h_n = the dimension of degree n, which the closed-form Hilbert series
+    gives without enumerating a basis; the tests count monomial_basis as
+    the second route."""
     if d.is_zero():
         return BettiTable(d.algebra.hilbert_series().expand(nmax))
+    top = min(nmax, d.algebra.top_degree)
     h = []
     prev_rank = 0
-    for n in range(nmax + 1):
+    for n in range(top + 1):
         dn = d.matrix(n)
         rk = rank(dn.matrix) if dn.matrix.cols else 0
         nullity = dn.matrix.cols - rk
         h.append(nullity - prev_rank)
         prev_rank = rk
-    return BettiTable(h)
+    return BettiTable(h + [0] * (nmax - top))
 
 
 def _element(algebra, vec, basis):
@@ -82,7 +85,10 @@ def representatives(g, n):
 
 
 def representatives_from_differential(d, n):
-    # echelon rows of B^n, then (a copy) of B^n plus each class so far
+    # nothing past the top degree; else echelon rows of B^n, then (a copy)
+    # of B^n plus each class so far
+    if n > d.algebra.top_degree:
+        return []
     basis, rows = _boundaries(d, n)
     if not basis:
         return []

@@ -109,10 +109,16 @@ class Differential:
             for m, c in el.coeffs.items():
                 if any(m[i] > 1 for i in capped):
                     continue
-                left = [sum(m[j] for j in range(i) if flip[j][i])
-                        for i in range(n)]
-                right = [sum(m[j] for j in range(i + 1, n) if flip[i][j])
-                         for i in range(n)]
+                # left_i and right_i, in one pass over m's nonzero exponents
+                left = [0] * n
+                right = [0] * n
+                for j, e in enumerate(m):
+                    if e:
+                        for i in range(n):
+                            if flip[j][i]:
+                                left[i] += e
+                            elif flip[i][j]:
+                                right[i] += e
                 rho = -(-1) ** (left[k] + right[k])
                 w = 0
                 for i in range(n):
@@ -253,9 +259,10 @@ def differential_from_brackets(g, algebra=None):
 def check_d_squared(d, nmax):
     """True iff matrix(n+1) . matrix(n) = 0 for all n <= nmax.  The product
     is never stored: each of its columns is dropped once seen, and the
-    first nonzero one ends the check."""
+    first nonzero one ends the check.  Past the algebra's top degree every
+    product is zero, so no matrix past it is built."""
     prev = d.matrix(0)
-    for n in range(nmax + 1):
+    for n in range(min(nmax, d.algebra.top_degree - 1) + 1):
         nxt = d.matrix(n + 1)
         if any(nxt.matrix.product_columns(prev.matrix)):
             return False

@@ -10,6 +10,7 @@ the exponent vectors.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import inf
 
 from .linalg import accumulate
 from .scalars import exact
@@ -36,6 +37,9 @@ class SignAlgebra:
         for (i, j) in self.commuting:
             if not (0 <= i < j < n):
                 raise ValueError("commuting pair out of range")
+        # the largest degree with a monomial: n when every generator is
+        # square-zero (an exterior algebra), else unbounded
+        self.top_degree = n if len(self.square_zero) == n else inf
         # per generator j: the generators i > j that anticommute with it
         self._flips = [tuple(i for i in range(j + 1, n)
                              if (j, i) not in self.commuting)
@@ -67,9 +71,10 @@ class SignAlgebra:
         exponent that its remaining degree allows, so the levels stay
         lexicographic, and carries the prefix's parity bitmask and packed
         key along.  The last two positions are filled together, the last
-        one with whatever degree is left.  ValueError for a degree of
+        one with whatever degree is left.  Past top_degree the record is
+        empty and nothing is enumerated.  ValueError for a degree of
         1 << KEY_BITS or more, whose exponents would overflow their key
-        fields."""
+        fields, checked first."""
         record = self._degrees.get(degree)
         if record is not None:
             return record
@@ -78,7 +83,9 @@ class SignAlgebra:
                              % (degree, (1 << KEY_BITS) - 1))
         n = self.n
         caps = [1 if i in self.square_zero else degree for i in range(n)]
-        if n < 2:
+        if degree > self.top_degree:
+            basis, odds, keys = [], [], []
+        elif n < 2:
             fits = 0 <= degree <= caps[0] if n else degree == 0
             basis = [(degree,) * n] if fits else []
             odds = [degree & 1] * len(basis)
@@ -152,8 +159,14 @@ def enveloping_sign_algebra(g):
 
 
 def dual_of(g):
-    """The quadratic dual of U(g_Ab)."""
-    return quadratic_dual(enveloping_sign_algebra(g))
+    """The quadratic dual of U(g_Ab), read straight off the sign matrix:
+    f_k is square-zero unless eps(e_k, e_k) = -1, and f_i, f_j (i < j)
+    commute unless eps(e_i, e_j) = +1.  It equals
+    quadratic_dual(enveloping_sign_algebra(g)) without building U(g_Ab)."""
+    n, s = g.n, g.cm.s
+    return SignAlgebra(n, [k for k in range(n) if s[k][k] != -1],
+                       [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if s[i][j] != 1])
 
 
 class DgaElement:

@@ -371,7 +371,22 @@ def _tokenize(text):
 
 
 def parse_scalar(text):
-    """Parse the scalar grammar: INT, INT/INT, t, t^INT, sums/products, parens."""
+    """Parse the scalar grammar: INT, INT/INT, t, t^INT, sums/products, parens.
+
+    A plain literal, -?INT or -?INT/INT in ASCII digits (every rational that
+    data/algebras/ and perfbench/gen.py write), is read straight into an int
+    or a Fraction, with the grammar's value, type and errors; any other
+    text, a zero denominator included, goes to the grammar."""
+    negative = text[:1] == "-"
+    num, slash, den = (text[1:] if negative else text).partition("/")
+    if num.isdigit() and num.isascii() and (
+            not slash or den.isdigit() and den.isascii()):
+        p = -int(num) if negative else int(num)
+        if not slash:
+            return p
+        q = int(den)
+        if q:
+            return plain_rational(Fraction(p, q))
     toks = _tokenize(text)
     pos = [0]
 

@@ -6,13 +6,17 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix, find_grading
-from colorlie.cohomology import cup_product, representatives_from_differential
-from colorlie.differential import differential_from_brackets
+from colorlie.cohomology import (betti_from_differential, cup_product,
+                                 representatives_from_differential)
+from colorlie.differential import (Differential, check_d_squared,
+                                   differential_from_brackets)
+from colorlie.dual import SignAlgebra
 from colorlie.linalg import FIELD_Q, FIELD_QT, echelon, echelon_span
 from colorlie.pbw import uea_relations
 from colorlie.scalars import Scalar
@@ -167,3 +171,46 @@ def assert_engine_values_exact(g, nmax):
             if c.degree + c2.degree <= nmax:
                 product = cup_product(d, c, c2).representative
                 assert_exact(product.coeffs.values(), field)
+
+
+def exterior_results(g):
+    """(d^2 = 0 through degree 12, h_0..h_40, the representatives of
+    degrees 0..12 as text) for an algebra whose generators are all even,
+    so that its dual is exterior with top degree n.
+
+    Asserts, with SignAlgebra.degree_record and Differential.matrix
+    patched to record their degrees, that no matrix past degree n is built
+    and that every degree record read past it is empty, and that a walk of
+    every degree, on a second dual algebra whose top degree is lifted,
+    gives the same results."""
+    def results(d):
+        return (check_d_squared(d, 12), betti_from_differential(d, 40).h,
+                [[str(c.representative) for c in
+                  representatives_from_differential(d, k)]
+                 for k in range(13)])
+
+    n = g.n
+    d = differential_from_brackets(g)
+    assert d.algebra.top_degree == n
+    records, built = [], []
+    degree_record, matrix = SignAlgebra.degree_record, Differential.matrix
+
+    def recorded_degree_record(algebra, degree):
+        record = degree_record(algebra, degree)
+        records.append((degree, len(record.basis)))
+        return record
+
+    def recorded_matrix(d, degree):
+        built.append(degree)
+        return matrix(d, degree)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SignAlgebra, "degree_record", recorded_degree_record)
+        mp.setattr(Differential, "matrix", recorded_matrix)
+        out = results(d)
+    assert all(k <= n for k in built), built
+    assert all(size == 0 for k, size in records if k > n), records
+    walk = differential_from_brackets(g)
+    walk.algebra.top_degree = inf
+    assert results(walk) == out
+    return out

@@ -3,7 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from conftest import coeff_vectors, spans_equal
+from ce_oracle import CEComplex, oracle_brackets
+from conftest import coeff_vectors, exterior_results, spans_equal
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
@@ -255,6 +256,22 @@ def test_representatives_and_cup_products_leave_the_kept_pass_alone(row):
         m = d.matrix(n).matrix
         assert m.pivot_rows == _pivot_rows(m.columns)
     assert betti_from_differential(d, 8).h == h == betti(g, 8).h
+
+
+@pytest.mark.parametrize("row", [1, 2, 3, 4, 5])
+def test_exterior_rows_stop_at_the_top_degree(row):
+    """Rows 1-5 have every generator even, so the dual is exterior with top
+    degree 3: nothing past degree 3 is built or enumerated
+    (conftest.exterior_results), d^2 = 0 as Jacobi holds, h_0..h_40 is the
+    cochain oracle's, and each degree has h_n representatives."""
+    e = catalog.entry(row)
+    for mu in catalog.parameter_samples(row):
+        value = catalog.engine_parameter(mu)
+        g = catalog.load(row, value)
+        d2_ok, h, reps = exterior_results(g)
+        assert d2_ok and g.jacobi_defect() == []
+        assert h == CEComplex(e.signs, oracle_brackets(e, value)).betti(40)
+        assert [len(r) for r in reps] == h[:13]
 
 
 def test_zero_differential_betti_numbers_enumerate_no_basis(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 from basis_oracle import unpack_key
@@ -38,6 +39,33 @@ def test_quadratic_dual_involution_all_64():
     for cm in all_sign_matrices():
         a = SignAlgebra(3, cm.square_zero_set(), cm.commuting_pairs())
         assert quadratic_dual(quadratic_dual(a)) == a
+
+
+def test_dual_of_reads_the_quadratic_dual_off_the_signs_all_64():
+    """dual_of builds the dual straight from the sign matrix; it equals the
+    quadratic dual of U(g_Ab), and its top degree is 3 exactly when every
+    generator is even (an exterior dual), else unbounded."""
+    for cm in all_sign_matrices():
+        g = ColorLieAlgebra(cm, {})
+        d = dual_of(g)
+        assert d == quadratic_dual(enveloping_sign_algebra(g))
+        even = all(cm.s[i][i] == 1 for i in range(3))
+        assert d.top_degree == (3 if even else inf)
+        assert enveloping_sign_algebra(g).top_degree == (
+            3 if cm.square_zero_set() == {0, 1, 2} else inf)
+
+
+def test_degree_record_is_empty_past_the_top_degree():
+    """Past the top degree the record is empty and kept like any other;
+    the key-width bound is checked first."""
+    alg = SignAlgebra(3, {0, 1, 2}, set())
+    assert alg.degree_record(3).basis == [(1, 1, 1)]
+    for degree in (4, 12, (1 << KEY_BITS) - 1):
+        record = alg.degree_record(degree)
+        assert record == ([], [], [], {})
+        assert alg.degree_record(degree) is record
+    with pytest.raises(ValueError):
+        alg.degree_record(1 << KEY_BITS)
 
 
 def test_dual_of_case6():

@@ -5,8 +5,10 @@ its exit code and one SHA-256 of its stdout, so a failure names the command
 whose output moved.  The command lines are `table --max-degree 12` in every
 format, `check`, `pbw`, `dual`, `hilbert` and `cohomology --max-degree 12
 --representatives` on every file in data/algebras/, and `cohomology` at the
-catalog's rational parameter samples, and `cohomology --max-degree 300` on
-case13, whose exponents pass one byte.
+catalog's rational parameter samples, `cohomology --max-degree 300` on
+case13, whose exponents pass one byte, and `cohomology --max-degree 65534
+--representatives` on case03, the longest run the CLI accepts, on an
+exterior dual.
 
 A refactor keeps every digest.  An intended output change (for example a
 derived sign convention that moves row 10's series) updates the digests it
@@ -38,6 +40,8 @@ def command_lines():
                               "--param", str(value)] + COHOMOLOGY)
     lines.append(["cohomology", "data/algebras/case13.txt",
                   "--max-degree", "300"])
+    lines.append(["cohomology", "data/algebras/case03.txt",
+                  "--max-degree", "65534", "--representatives"])
     return lines
 
 
@@ -313,6 +317,8 @@ DIGESTS = {
         (0, '3233795743ffca305dee834088c96194dffb9c06b0448f247ec758fbb6f451e0'),
     'cohomology data/algebras/case13.txt --max-degree 300':
         (0, 'e613be661072e4a9f3938a5b38a4063a12faa39bc6ea6c48c18958ea669390d8'),
+    'cohomology data/algebras/case03.txt --max-degree 65534 --representatives':
+        (0, '79a84fd73886cde34973fb90b932ef5dc6d503be31b82359aa40da0e8ace5393'),
 }
 
 

@@ -8,8 +8,10 @@ bases and their degree records, PBW normal forms and overlap checks, Jacobi
 sums, the columns of the differential matrices and the Koszul pairing
 agree with their test-only oracles, every matrix entry is canonical,
 elimination never writes to a matrix's columns, each U(g) rule rewrites
-its lead to deg-lex smaller words, and a zero differential's Betti numbers
-count the monomial bases."""
+its lead to deg-lex smaller words, a zero differential's Betti numbers
+count the monomial bases, plain literals parse as the grammar parses them,
+and on all-even algebras nothing past the exterior dual's top degree is
+built."""
 
 import copy
 from fractions import Fraction
@@ -23,8 +25,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import basis_oracle  # noqa: E402
 import bm_oracle  # noqa: E402
 import pbw_oracle  # noqa: E402
+from ce_oracle import CEComplex  # noqa: E402
 from conftest import (admissible_slots, assert_canonical,  # noqa: E402
-                      assert_engine_values_exact, assert_exact)
+                      assert_engine_values_exact, assert_exact,
+                      exterior_results)
 from jacobi_oracle import defect_values, jacobi_oracle  # noqa: E402
 from koszul_oracle import koszul_dual  # noqa: E402
 from letterwise import letterwise_apply  # noqa: E402
@@ -42,7 +46,8 @@ from colorlie.linalg import (FIELD_Q, FIELD_QT, echelon, rank,  # noqa: E402
                              rank_kernel)
 from colorlie.pbw import groebner_check, reduce_word, uea_relations  # noqa: E402
 from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
-                              pgcd, plain_rational, pmul, ptrim)
+                              parse_scalar, pgcd, plain_rational, pmul,
+                              ptrim)
 from colorlie.series import (RationalSeries, _berlekamp_massey,  # noqa: E402
                              recognize)
 
@@ -64,19 +69,21 @@ RATIONAL_FUNCTIONS = st.builds(
 CONSTANTS = RATIONALS.map(Scalar.from_fraction)
 
 
-def _sign_matrix(draw, n):
+def _sign_matrix(draw, n, diagonal=(1, -1)):
     signs = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            signs[i][j] = signs[j][i] = draw(st.sampled_from((1, -1)))
+            signs[i][j] = signs[j][i] = draw(
+                st.sampled_from(diagonal if i == j else (1, -1)))
     return CommutationMatrix(signs)
 
 
 @st.composite
-def algebras(draw, coefficients, sizes=st.integers(1, 3)):
+def algebras(draw, coefficients, sizes=st.integers(1, 3), diagonal=(1, -1)):
     """A grading-compatible algebra: structure constants only on the slots
-    that respect the sign rows (Jacobi may fail)."""
-    cm = _sign_matrix(draw, draw(sizes))
+    that respect the sign rows (Jacobi may fail); each diagonal sign is
+    drawn from `diagonal`."""
+    cm = _sign_matrix(draw, draw(sizes), diagonal)
     brackets = {}
     for (i, j, k) in admissible_slots(cm):
         c = draw(coefficients)
@@ -167,6 +174,20 @@ def _assert_plain(coeffs):
     for c in coeffs:
         assert type(c) is int or (type(c) is Fraction
                                   and c.denominator != 1), coeffs
+
+
+@settings(deadline=None)
+@given(st.booleans(), st.integers(0, 3), st.integers(0, 10 ** 30),
+       st.none() | st.integers(1, 10 ** 30))
+def test_plain_literals_read_as_the_grammar_reads_them(negative, zeros, p, q):
+    """A plain literal -?INT or -?INT/INT, leading zeros allowed, has the
+    value and type the grammar gives it: parenthesized, the same text
+    always goes through the grammar."""
+    text = "-" * negative + "0" * zeros + str(p)
+    if q is not None:
+        text += "/%d" % q
+    plain, grammar = parse_scalar(text), parse_scalar("(" + text + ")")
+    assert plain == grammar and type(plain) is type(grammar)
 
 
 @settings(deadline=None)
@@ -316,6 +337,24 @@ def test_monomial_basis_matches_the_recursive_oracle(alg, degree):
     assert index == {key: i for i, key in enumerate(keys)}
     assert alg.degree_record(degree) is record
     assert alg.monomial_basis(degree) is basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(RATIONALS, diagonal=(1,)))
+def test_exterior_duals_stop_at_the_top_degree(g):
+    """Every generator even, Jacobi-failing algebras included (the all +1
+    sign matrices admit them): nothing past degree n is built or
+    enumerated, and a walk of every degree agrees
+    (conftest.exterior_results).  On an injective sign matrix d^2 = 0 iff
+    Jacobi holds, and h_0..h_40 is the cochain oracle's; on the others the
+    calibrated sign of the differential is known to break both."""
+    d2_ok, h, reps = exterior_results(g)
+    if len(set(g.cm.s)) == g.n:
+        assert d2_ok == (g.jacobi_defect() == [])
+        if d2_ok:
+            assert h == CEComplex(g.cm.s, g.brackets).betti(40)
+    if d2_ok:
+        assert [len(r) for r in reps] == h[:13]
 
 
 def _abelian_with_dual(alg):

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from time import perf_counter
 
@@ -91,6 +92,44 @@ def test_parse_rejects_deep_nesting_and_non_ascii_digits():
             parse_scalar(bad)
     assert parse_scalar("(" * 40 + "t" + ")" * 40) == T
     assert parse_scalar("-" * 41 + "1/2") == frac(-1, 2)
+
+
+def _outcome(text):
+    try:
+        return parse_scalar(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_plain_literals_keep_the_grammar_results():
+    """A plain literal -?INT or -?INT/INT is read without the grammar; these
+    edge cases pin what the grammar gives, in value and in type, and a zero
+    denominator raises the grammar's own error."""
+    for text in ("1/0", "0/0", "-3/00"):
+        with pytest.raises(ZeroDivisionError):
+            parse_scalar(text)
+        assert _outcome(text) == _outcome("(" + text + ")")
+    for text in ("+1", "1_0", "\u0661", "", "1/", "/2", "-", "1/2/"):
+        with pytest.raises(ScalarParseError):
+            parse_scalar(text)
+    for text, value in (("--1", 1), ("1/2/3", Fraction(1, 6)),
+                        ("1/-2", Fraction(-1, 2)), ("-0", 0), ("-0/7", 0),
+                        ("007", 7), ("6/3", 2), ("-6/4", Fraction(-3, 2)),
+                        (" 1/2", Fraction(1, 2)), ("1 /2", Fraction(1, 2))):
+        assert parse_scalar(text) == value, text
+        assert type(parse_scalar(text)) is type(value), text
+
+
+def test_long_literals_take_one_route():
+    """A literal past the interpreter's limit on int() digits (4,300 by
+    default, where the limit exists) raises the same ValueError whether it
+    is read plainly or through the grammar, parenthesized."""
+    long = "1" * 4301
+    for text in (long, "-" + long, long + "/3", "3/" + long, "-3/" + long):
+        plain = _outcome(text)
+        assert plain == _outcome("(" + text + ")")
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            assert isinstance(plain, tuple) and plain[0] is ValueError
 
 
 def test_parse_bounds_powers():
