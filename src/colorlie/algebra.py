@@ -12,7 +12,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .linalg import echelon_span
-from .scalars import Scalar, exact
+from .scalars import (Scalar, common_denominator, exact, quotient,
+                      times_denominator)
 
 
 class CommutationMatrix:
@@ -165,6 +166,8 @@ class ColorLieAlgebra:
             if any(vec):
                 self.brackets[(i, j)] = vec
         self.grading = grading
+        self._denominator = common_denominator(
+            c for vec in self.brackets.values() for c in vec)
         # <e_i, e_j> for every index pair, with <e_j, e_i> = -eps(j, i)
         # <e_i, e_j> filled in below the diagonal
         zero = (0,) * self.n
@@ -192,9 +195,16 @@ class ColorLieAlgebra:
 
         Each call recomputes every sum, walking only the nonzero entries of
         the bracket table in ascending index order, so every coefficient is
-        accumulated in the same order as a dense walk would."""
+        accumulated in the same order as a dense walk would.  The walk reads
+        D times the table, D the common denominator of the brackets: a
+        cyclic sum is quadratic in the brackets, so each sum of the rescaled
+        algebra is D^2 times the matching sum, and over Q every product and
+        sum is one of ints.  Each nonzero sum is divided by D^2 back into its
+        canonical value."""
         s = self.cm.s
-        nonzero = [[[(l, x) for l, x in enumerate(vec) if x] for vec in row]
+        den = self._denominator
+        nonzero = [[[(l, times_denominator(x, den))
+                     for l, x in enumerate(vec) if x] for vec in row]
                    for row in self._table]
         bad = []
         for i, j, k in combinations_with_replacement(range(self.n), 3):
@@ -211,7 +221,8 @@ class ColorLieAlgebra:
                     for m, y in outer[l]:
                         total[m] = total[m] + x * y
             if any(total):
-                bad.append((i, j, k, tuple(total)))
+                bad.append((i, j, k, tuple(quotient(x, den * den)
+                                           for x in total)))
         return bad
 
     def structure_errors(self):

@@ -66,13 +66,18 @@ monomial-at-a-time sum.  `apply_monomial` reads one column of that matrix
 back through the row basis; nothing else evaluates the closed form.
 
 Coefficients are the brackets' own values, a plain rational (an int when
-integral, else a Fraction) or, where t appears, a Scalar.  Every matrix
-entry has that one representation too.  Over Q with a Fraction among the
-coefficients, the table holds c D instead of c, D the lcm of their
-denominators: `matrix` sums ints and divides each entry by D once, as an
-int when D divides it and a Fraction otherwise.  Over Q(t) the table holds
-the coefficients as they are, and a Fraction entry that sums to an integer
-is stored as that int.
+integral, else a Fraction) or, where t appears, a Scalar.  The table holds
+c D for every coefficient c, Scalars included, D the lcm of the
+denominators of the Fractions among them (`scalars.common_denominator`, 1
+when there are none).  That is the differential of g_D, the rescaling
+e_i -> D e_i of g, which is D d.  So `matrix(n)` is the matrix of D d:
+over Q it sums ints, every entry is an int, and no entry is ever divided;
+over Q(t) an entry is a Scalar or a plain rational, each in its one
+representation.  A nonzero scalar changes no rank, no kernel, no echelon
+row scaled to a unit pivot and no zero entry of d^2, so `check_d_squared`
+and the cohomology read D d as they would read d, and every Betti number,
+series and representative is d's.  `apply_monomial` divides by D, so it
+returns d itself.
 
 This is the letterwise sum regrouped, which the tests keep as the
 reference.  When the brackets respect the grading (eps(f_k, .) = eps(f_i, .)
@@ -83,12 +88,10 @@ brackets that break the grading reach a mod 2.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
-from math import lcm
 
 from .dual import KEY_BITS, DgaElement, dual_of
 from .linalg import ExactMatrix
-from .scalars import Scalar
+from .scalars import common_denominator, quotient, times_denominator
 
 
 class Differential:
@@ -128,19 +131,14 @@ class Differential:
                             for j, e in enumerate(m))
                 cap = sum(1 << i for i in capped if m[i] - (i == k) > 0)
                 terms.append((k, shift, c, rho, w, right[k] % 2, cap))
-        # the common denominator D of a table over Q (module docstring)
-        kinds = {type(term[2]) for term in terms}
-        self._fractions = Fraction in kinds
-        den = 1
-        if self._fractions and Scalar not in kinds:
-            den = lcm(*(term[2].denominator for term in terms))
-        self._denominator = den
+        # the common denominator D of the table (module docstring)
+        den = self._denominator = common_denominator(term[2] for term in terms)
         # each term with c D for c, the offset and mask that read q =
         # [a_k]_rho off a packed key, and its multiples q -> c D q, kept for
         # every degree
         self._terms = []
         for k, shift, c, rho, w, u, cap in terms:
-            c = c if den == 1 else int(c * den)
+            c = times_denominator(c, den)
             qmask = (1 << KEY_BITS) - 1 if rho == 1 else 1
             self._terms.append((KEY_BITS * k, qmask, shift, c, w, u, cap,
                                 {1: c}))
@@ -153,14 +151,15 @@ class Differential:
 
     def apply_monomial(self, mono):
         """d of one basis monomial: its column of matrix(|mono|), read
-        back through the row basis."""
+        back through the row basis and divided by D."""
         mono = tuple(mono)
         dm = self.matrix(sum(mono))
         j = bisect_left(dm.col_basis, mono)
         if j == len(dm.col_basis) or dm.col_basis[j] != mono:
             raise ValueError("%r is not a basis monomial" % (mono,))
         rows = dm.row_basis
-        return DgaElement(self.algebra, {rows[i]: c for i, c
+        den = self._denominator
+        return DgaElement(self.algebra, {rows[i]: quotient(c, den) for i, c
                                          in dm.matrix.columns[j].items()})
 
     def apply(self, x):
@@ -171,18 +170,20 @@ class Differential:
         return out
 
     def matrix(self, n):
-        """Matrix of d on monomial_basis(n), columns indexed by the basis;
-        built once per degree and shared by every caller, so read-only.
+        """Matrix of D d on monomial_basis(n), D the table's common
+        denominator (module docstring), columns indexed by the basis; built
+        once per degree and shared by every caller, so read-only.
         matrix(n).row_basis is matrix(n + 1).col_basis.
 
         Built in one term-major pass (see the module docstring): bases,
         parity bitmasks, packed keys and the row index from the algebra's
         degree records, then each term over every column with its kept
-        multiples c q, the target row read off the key plus the term's
+        multiples c D q, the target row read off the key plus the term's
         packed shift.
         Entries reach each column in table order, so insertion order is
-        that of the monomial-at-a-time sum; each entry is then made
-        canonical in place."""
+        that of the monomial-at-a-time sum.  The sums are kept as they are
+        built: over Q each is an int, and over Q(t) Scalar arithmetic
+        returns each in its one representation."""
         if n in self._matrices:
             return self._matrices[n]
         cols, odds, keys, _ = self.algebra.degree_record(n)
@@ -207,17 +208,6 @@ class Differential:
                     col[target] = total
                 else:
                     del col[target]
-        den = self._denominator
-        if den != 1:
-            for col in columns:
-                for i, v in col.items():
-                    q, r = divmod(v, den)
-                    col[i] = Fraction(v, den) if r else q
-        elif self._fractions:
-            for col in columns:
-                for i, v in col.items():
-                    if type(v) is Fraction and v.denominator == 1:
-                        col[i] = v.numerator
         mat = ExactMatrix(len(rows), columns)
         self._matrices[n] = DifferentialMatrix(mat, rows, cols)
         return self._matrices[n]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .scalars import ZERO, Scalar, as_scalar
+from .scalars import ZERO, Scalar, as_scalar, quotient
 
 FIELD_Q = "QQ"
 FIELD_QT = "QQ(t)"
@@ -160,19 +160,9 @@ def insert(rows, v):
     elif type(x) is int and x == 1:
         row = dict(v)
     else:
-        row = {i: _quotient(y, x) for i, y in v.items()}
+        row = {i: quotient(y, x) for i, y in v.items()}
         row[p] = 1
     rows[p] = row
-
-
-def _quotient(y, x):
-    """y / x for a nonzero x, an int whenever it is integral: an int over
-    an int by divmod, anything else by the operands' own division."""
-    if type(y) is int and type(x) is int:
-        q, r = divmod(y, x)
-        return Fraction(y, x) if r else q
-    z = y / x
-    return z.numerator if type(z) is Fraction and z.denominator == 1 else z
 
 
 def _integral_as_int(v):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .linalg import accumulate
-from .scalars import exact
+from .scalars import common_denominator, exact, times_denominator
 
 
 class QuadLinRelation:
@@ -102,7 +102,19 @@ def groebner_check(rels):
     leading monomials; returns (all_zero, failing overlap words).
 
     Leads have coefficient 1, so for leads (a, b) -> rhs1 and (b, c) -> rhs2
-    the two reductions of the word abc differ by a*rhs2 - rhs1*c."""
+    the two reductions of the word abc differ by a*rhs2 - rhs1*c.
+
+    The overlaps are reduced with the rules of U(g_D), g_D the rescaling
+    e_i -> D e_i of g, D the common denominator of the rules' coefficients:
+    each rule's coefficient of a right-hand word w is multiplied by
+    D^(2 - |w|), which over Q leaves only ints.  v_i -> D v_i maps U(g_D)
+    onto U(g), and each overlap's s-polynomial to D^3 times the image of
+    g's s-polynomial, so exactly the same overlaps fail."""
+    den = common_denominator(c for r in rels for c in r.rhs.values())
+    if den != 1:
+        rels = [QuadLinRelation(r.lead, {
+            w: c if len(w) == 2 else times_denominator(c, den ** (2 - len(w)))
+            for w, c in r.rhs.items()}) for r in rels]
     by_lead = {r.lead: r for r in rels}
     failures = []
     for (a, b), r1 in by_lead.items():

@@ -15,6 +15,7 @@ reads every value as one.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 PARAM = "t"
 
@@ -319,6 +320,35 @@ def inverse(x):
     if isinstance(x, Scalar):
         return 1 / x
     return plain_rational(Fraction(1, _rational(x)))
+
+
+def quotient(y, x):
+    """y / x for a nonzero x, an int whenever it is integral: an int over
+    an int by divmod, anything else by the operands' own division."""
+    if type(y) is int and type(x) is int:
+        q, r = divmod(y, x)
+        return Fraction(y, x) if r else q
+    z = y / x
+    return z.numerator if type(z) is Fraction and z.denominator == 1 else z
+
+
+def common_denominator(values):
+    """D for a collection of engine values: the lcm of the denominators of
+    its Fractions, 1 when there are none; ints and Scalars do not
+    contribute.  The rescaling e_i -> D e_i of a color Lie algebra whose
+    coefficients these are gives an isomorphic algebra whose rational
+    coefficients are ints, so the engine runs its Q hot loops on D c
+    (`times_denominator`).  This is the one place that decides D."""
+    return lcm(*(c.denominator for c in values if type(c) is Fraction))
+
+
+def times_denominator(c, den):
+    """c den for an engine value c and an int den that c's denominator
+    divides: an int for a rational c, with no Fraction product, and a
+    Scalar for a Scalar."""
+    if type(c) is Fraction:
+        return c.numerator * (den // c.denominator)
+    return c * den
 
 
 ZERO = Scalar(PZERO, PONE, _canonical=True)

@@ -8,7 +8,10 @@ format, `check`, `pbw`, `dual`, `hilbert` and `cohomology --max-degree 12
 catalog's rational parameter samples, `cohomology --max-degree 300` on
 case13, whose exponents pass one byte, and `cohomology --max-degree 65534
 --representatives` on case03, the longest run the CLI accepts, on an
-exterior dual.
+exterior dual.  `check`, `pbw` and `cohomology --max-degree 12
+--representatives` also run on the two files in tests/data/, whose brackets
+are in halves, as the benchmark's generated algebras are: case13 with its
+brackets halved, and an algebra that fails Jacobi.
 
 A refactor keeps every digest.  An intended output change (for example a
 derived sign convention that moves row 10's series) updates the digests it
@@ -21,6 +24,7 @@ from pathlib import Path
 from colorlie import catalog, cli
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "algebras"
+HALVES = Path(__file__).resolve().parent / "data"
 COHOMOLOGY = ["--max-degree", "12", "--representatives"]
 
 
@@ -42,6 +46,10 @@ def command_lines():
                   "--max-degree", "300"])
     lines.append(["cohomology", "data/algebras/case03.txt",
                   "--max-degree", "65534", "--representatives"])
+    for path in sorted(HALVES.glob("*.txt")):
+        name = "tests/data/" + path.name
+        lines += [["check", name], ["pbw", name],
+                  ["cohomology", name] + COHOMOLOGY]
     return lines
 
 
@@ -50,7 +58,8 @@ def digests(capsys):
     root = DATA.parent.parent
     out = {}
     for argv in command_lines():
-        code = cli.main([str(root / a) if a.startswith("data/") else a
+        code = cli.main([str(root / a)
+                         if a.startswith(("data/", "tests/data/")) else a
                          for a in argv])
         text = capsys.readouterr().out
         out[" ".join(argv)] = (
@@ -319,6 +328,18 @@ DIGESTS = {
         (0, 'e613be661072e4a9f3938a5b38a4063a12faa39bc6ea6c48c18958ea669390d8'),
     'cohomology data/algebras/case03.txt --max-degree 65534 --representatives':
         (0, '79a84fd73886cde34973fb90b932ef5dc6d503be31b82359aa40da0e8ace5393'),
+    'check tests/data/case13_halved.txt':
+        (0, '7b1a119859e31d8c45cdc31f55c29eec0ca848ba137b759c6f1ee20022d00438'),
+    'pbw tests/data/case13_halved.txt':
+        (0, 'c9056625a0b84a35dd10c29515f4b3c82da2338a84cc1b743299eb1a605eb2e4'),
+    'cohomology tests/data/case13_halved.txt --max-degree 12 --representatives':
+        (0, '45cf8a2b2ce1bf816c11a228d99855f210c2398f0411a2a6aa661225ebab0f34'),
+    'check tests/data/jacobi_fails_halves.txt':
+        (1, 'a9e806b198439466faeee8940b8475f6864247a926e82b47584f4eb55efb94d1'),
+    'pbw tests/data/jacobi_fails_halves.txt':
+        (1, '60424ccb1c50fde750ecd5b5f550a770018dc113bf0392a9987b23e7a24ede4a'),
+    'cohomology tests/data/jacobi_fails_halves.txt --max-degree 12 --representatives':
+        (1, '056627ebdba78fae4ec3a1091cee165bd0e3f886984c5f436c36e32ea4ebb757'),
 }
 
 
