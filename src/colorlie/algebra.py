@@ -41,13 +41,6 @@ class CommutationMatrix:
         """No two equal rows."""
         return len({self.s[i] for i in range(self.n)}) == self.n
 
-    def square_zero_set(self):
-        return frozenset(i for i in range(self.n) if self.s[i][i] == -1)
-
-    def commuting_pairs(self):
-        return frozenset((i, j) for i in range(self.n) for j in range(i + 1, self.n)
-                         if self.s[i][j] == 1)
-
     def __eq__(self, other):
         return isinstance(other, CommutationMatrix) and self.s == other.s
 
@@ -273,12 +266,6 @@ class ColorLieAlgebra:
         basis = echelon_span({k: c for k, c in enumerate(self.full_bracket(i, j))
                               if c} for (i, j) in self.brackets)
         return len(basis), basis
-
-    def associated_abelian(self):
-        return ColorLieAlgebra(self.cm, {}, grading=self.grading)
-
-    def is_abelian(self):
-        return not self.brackets
 
     def has_parameter(self):
         return any(isinstance(c, Scalar)

@@ -15,11 +15,10 @@ mismatch rather than patching either side (see README, known discrepancy).
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 from .algebra import ColorLieAlgebra, CommutationMatrix, find_grading
-from .files import GENERIC, serialize_algebra
+from .files import GENERIC
 from .scalars import T
 from .series import RationalSeries
 
@@ -219,24 +218,3 @@ def engine_parameter(table_mu):
     if not _is_value(table_mu):
         return None
     return 1 / Fraction(table_mu)
-
-
-def export_directory(path):
-    """Write every catalog entry (and the abelian family) as algebra files.
-
-    Parameterized entries keep the symbol t; pass --param on the command
-    line to specialize.  Returns the written file names.
-    """
-    os.makedirs(path, exist_ok=True)
-    written = []
-    for i in ALL_IDS:
-        name = "case%02d.txt" % i
-        with open(os.path.join(path, name), "w", encoding="utf-8") as fh:
-            fh.write(serialize_algebra(load(i)))
-        written.append(name)
-    for k, (g, q) in enumerate(abelian_family(), start=1):
-        name = "abelian_q%d_%d.txt" % (q, k)
-        with open(os.path.join(path, name), "w", encoding="utf-8") as fh:
-            fh.write(serialize_algebra(g))
-        written.append(name)
-    return written

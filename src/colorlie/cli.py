@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .cohomology import betti_from_differential, representatives_from_differential
 from .differential import differential_from_brackets
-from .dual import KEY_BITS, dual_of, enveloping_sign_algebra
+from .dual import KEY_BITS, dual_of, quadratic_dual
 from .files import GENERIC, AlgebraFileError, parse_algebra_file
 from .pbw import groebner_check, uea_relations, word_str
 from .series import abelian_closed_form, recognize
@@ -38,7 +38,8 @@ def main(argv=None):
             parser.error("argument --%s: expected one argument"
                          % name.replace("_", "-"))
     # --out is written only once the command returns, so a failed run leaves
-    # an existing file as it was; a missing directory fails before the run
+    # an existing file as it was; a missing folder, or a directory as the
+    # target, fails before the run
     out = io.StringIO() if getattr(args, "out", None) else sys.stdout
     try:
         if out is not sys.stdout:
@@ -46,6 +47,8 @@ def main(argv=None):
             if not os.path.isdir(folder):
                 raise ValueError("--out %s: no directory %s"
                                  % (args.out, folder))
+            if os.path.isdir(args.out):
+                raise ValueError("--out %s: is a directory" % args.out)
         code = args.func(args, out)
         if out is not sys.stdout:
             with open(args.out, "w", encoding="utf-8") as f:
@@ -250,7 +253,7 @@ def cmd_dual(args, out):
 
 def cmd_hilbert(args, out):
     g, _ = _load(args)
-    a = enveloping_sign_algebra(g)
+    a = quadratic_dual(dual_of(g))
     hs = a.hilbert_series()
     coeffs = hs.expand(10)
     counts = _monomial_counts(a, 10)

@@ -1,10 +1,10 @@
-"""Cohomology of the Koszul-dual DGA: Betti numbers, representative cocycles
-and cup products."""
+"""Cohomology of the Koszul-dual DGA: Betti numbers and representative
+cocycles."""
 
 from __future__ import annotations
 
 from .differential import differential_from_brackets
-from .dual import DgaElement, SignAlgebra, multiply
+from .dual import DgaElement, SignAlgebra
 from .linalg import insert, rank, rank_kernel, residue
 # unused here, but perfbench/traced.py wraps these names in this module
 from .linalg import echelon_span, image_basis  # noqa: F401
@@ -101,15 +101,3 @@ def representatives_from_differential(d, n):
             out.append(CohomologyClass(n, _element(d.algebra, r, basis)))
             insert(rows, r)
     return out
-
-
-def cup_product(d, c1, c2):
-    """Product of representatives reduced modulo coboundaries."""
-    prod = multiply(c1.representative, c2.representative)
-    n = c1.degree + c2.degree
-    if prod.is_zero():
-        return CohomologyClass(n, DgaElement(d.algebra))
-    basis, rows = _boundaries(d, n)
-    index = {m: i for i, m in enumerate(basis)}
-    vec = {index[mono]: c for mono, c in prod.coeffs.items()}
-    return CohomologyClass(n, _element(d.algebra, residue(vec, rows), basis))

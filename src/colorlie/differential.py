@@ -162,13 +162,6 @@ class Differential:
         return DgaElement(self.algebra, {rows[i]: quotient(c, den) for i, c
                                          in dm.matrix.columns[j].items()})
 
-    def apply(self, x):
-        """Linear extension of the monomial action; degree +1, d(1) = 0."""
-        out = DgaElement(self.algebra)
-        for mono, c in x.coeffs.items():
-            out = out + self.apply_monomial(mono).scale(c)
-        return out
-
     def matrix(self, n):
         """Matrix of D d on monomial_basis(n), D the table's common
         denominator (module docstring), columns indexed by the basis; built

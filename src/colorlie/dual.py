@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import inf
 
-from .linalg import accumulate
 from .scalars import exact
 from .series import abelian_closed_form
 
@@ -40,10 +39,6 @@ class SignAlgebra:
         # the largest degree with a monomial: n when every generator is
         # square-zero (an exterior algebra), else unbounded
         self.top_degree = n if len(self.square_zero) == n else inf
-        # per generator j: the generators i > j that anticommute with it
-        self._flips = [tuple(i for i in range(j + 1, n)
-                             if (j, i) not in self.commuting)
-                       for j in range(n)]
         # degree -> DegreeRecord, filled by degree_record
         self._degrees = {}
 
@@ -118,22 +113,6 @@ class SignAlgebra:
         shared and read-only."""
         return self.degree_record(degree).basis
 
-    def multiply_monomials(self, a, b):
-        """(sign, exponent vector) of the product, sign 0 when capped."""
-        sign = 1
-        # each letter f_j of b passes the letters f_i of a with i > j; the
-        # sign flips once per anticommuting pair with b[j] and a[i] both odd
-        for j, flips in enumerate(self._flips):
-            if b[j] % 2:
-                for i in flips:
-                    if a[i] % 2:
-                        sign = -sign
-        total = tuple(x + y for x, y in zip(a, b))
-        for i in self.square_zero:
-            if total[i] > 1:
-                return 0, total
-        return sign, total
-
     def hilbert_series(self):
         """Closed form (1+z)^|J| / (1-z)^(n-|J|).
 
@@ -153,16 +132,12 @@ def quadratic_dual(a):
                        allpairs - a.commuting)
 
 
-def enveloping_sign_algebra(g):
-    """U(g_Ab) as a sign algebra: J = squares, Q = commuting generator pairs."""
-    return SignAlgebra(g.n, g.cm.square_zero_set(), g.cm.commuting_pairs())
-
-
 def dual_of(g):
     """The quadratic dual of U(g_Ab), read straight off the sign matrix:
     f_k is square-zero unless eps(e_k, e_k) = -1, and f_i, f_j (i < j)
-    commute unless eps(e_i, e_j) = +1.  It equals
-    quadratic_dual(enveloping_sign_algebra(g)) without building U(g_Ab)."""
+    commute unless eps(e_i, e_j) = +1.  So quadratic_dual(dual_of(g)) is
+    U(g_Ab) itself: J = {k : eps(e_k, e_k) = -1}, Q = {(i, j) : eps(e_i,
+    e_j) = +1}."""
     n, s = g.n, g.cm.s
     return SignAlgebra(n, [k for k in range(n) if s[k][k] != -1],
                        [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -182,15 +157,6 @@ class DgaElement:
                 if c:
                     self.coeffs[tuple(mono)] = exact(c)
 
-    @classmethod
-    def unit(cls, algebra):
-        return cls(algebra, {(0,) * algebra.n: 1})
-
-    @classmethod
-    def generator(cls, algebra, i):
-        mono = tuple(1 if k == i else 0 for k in range(algebra.n))
-        return cls(algebra, {mono: 1})
-
     def is_zero(self):
         return not self.coeffs
 
@@ -203,34 +169,12 @@ class DgaElement:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            accumulate(out, m, c)
-        return DgaElement(self.algebra, out)
-
-    def __neg__(self):
-        return DgaElement(self.algebra, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return DgaElement(self.algebra)
-        return DgaElement(self.algebra, {m: c * x for m, x in self.coeffs.items()})
-
     def __eq__(self, other):
         return (isinstance(other, DgaElement) and self.algebra == other.algebra
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.algebra, tuple(sorted(self.coeffs.items()))))
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise ValueError("elements live in different sign algebras")
 
     def __str__(self):
         if not self.coeffs:
@@ -254,22 +198,6 @@ class DgaElement:
         return out
 
     __repr__ = __str__
-
-
-def multiply(x, y):
-    """Product in the sign algebra: concatenate and sort exponent vectors,
-    one -1 per transposition of an anticommuting pair; capped squares kill."""
-    x._check(y)
-    out = DgaElement(x.algebra)
-    acc = {}
-    for ma, ca in x.coeffs.items():
-        for mb, cb in y.coeffs.items():
-            sign, total = x.algebra.multiply_monomials(ma, mb)
-            if sign == 0:
-                continue
-            accumulate(acc, total, ca * cb if sign == 1 else -(ca * cb))
-    out.coeffs = acc
-    return out
 
 
 def monomial_str(m):

@@ -126,22 +126,6 @@ def parse_algebra_file(path):
         return parse_algebra_text(fh.read())
 
 
-def serialize_algebra(g, param=None):
-    out = ["dim %d" % g.n, "signs"]
-    for row in g.cm.s:
-        out.append(" ".join("%+d" % x for x in row))
-    for (i, j) in sorted(g.brackets):
-        vec = g.brackets[(i, j)]
-        out.append("bracket %d %d : %s" % (i + 1, j + 1,
-                                           " ".join(str(c) for c in vec)))
-    if param is not None:
-        out.append("param %s" % param)
-    if g.grading is not None:
-        for i, d in enumerate(g.grading.degrees):
-            out.append("grading %d : %s" % (i + 1, " ".join(str(b) for b in d)))
-    return "\n".join(out) + "\n"
-
-
 def _int(tok, line):
     try:
         return int(tok)

@@ -28,8 +28,7 @@ class ExactMatrix:
     """The rows x len(columns) matrix stored as the given sparse columns,
     taken as they are and never written: columns[j] is the dict row -> entry
     of column j, a plain rational or, where t appears, a Scalar.  Its field
-    is read off the entries.  Reads by index return the stored value;
-    `data` returns Scalars on either field."""
+    is read off the entries; `data` returns Scalars on either field."""
 
     def __init__(self, rows, columns):
         if rows < 0:
@@ -51,9 +50,6 @@ class ExactMatrix:
                for col in self.columns for v in col.values()):
             return FIELD_QT
         return FIELD_Q
-
-    def __getitem__(self, ij):
-        return self.columns[ij[1]].get(ij[0], 0)
 
     @property
     def data(self):
@@ -81,12 +77,6 @@ class ExactMatrix:
             for k, c in col.items():
                 _add_multiple(acc, c, self.columns[k])
             yield acc
-
-    def mul(self, other):
-        return ExactMatrix(self.rows, list(self.product_columns(other)))
-
-    def is_zero(self):
-        return not any(self.columns)
 
 
 def _add_multiple(v, f, row):

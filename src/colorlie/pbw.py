@@ -1,5 +1,5 @@
-"""Quadratic-linear relations of U(g), Diamond-Lemma certification and
-normal words.
+"""Quadratic-linear relations of U(g) and their Diamond-Lemma
+certification.
 
 Monomial order: degree-lexicographic with v_0 > v_1 > ... > v_{n-1}, so the
 leading monomial of v_i v_j - s_ij v_j v_i - sum_k c_ij^k v_k (i < j) is
@@ -127,19 +127,6 @@ def groebner_check(rels):
             if reduce_word(s, rels):
                 failures.append((a, b, c))
     return not failures, failures
-
-
-def normal_words(rels, degree, n):
-    """All degree-d words in n letters with no leading monomial as a factor,
-    in index-lex order."""
-    leads = {r.lead for r in rels}
-    if degree == 0:
-        return [()]
-    words = [(i,) for i in range(n)]
-    for _ in range(degree - 1):
-        words = [w + (i,) for w in words for i in range(n)
-                 if (w[-1], i) not in leads]
-    return words
 
 
 def word_str(w):

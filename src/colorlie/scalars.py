@@ -44,10 +44,6 @@ def pneg(a):
     return tuple(-x for x in a)
 
 
-def psub(a, b):
-    return padd(a, pneg(b))
-
-
 def pmul(a, b):
     if not a or not b:
         return PZERO

@@ -6,7 +6,7 @@ entries become polynomials in t with rational coefficients, and every
 division the elimination performs is exact.
 """
 
-from colorlie.scalars import PONE, PZERO, pdivmod, pmul, psub
+from colorlie.scalars import PONE, PZERO, padd, pdivmod, pmul, pneg
 
 
 def _clear_row(row):
@@ -45,7 +45,7 @@ def bareiss_pivots(rows):
         piv = a[r][c]
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
-                num = psub(pmul(piv, a[i][j]), pmul(a[i][c], a[r][j]))
+                num = padd(pmul(piv, a[i][j]), pneg(pmul(a[i][c], a[r][j])))
                 if not num:
                     a[i][j] = PZERO
                     continue

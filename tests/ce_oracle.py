@@ -10,7 +10,10 @@ elimination code from colorlie.
 Chains live in the epsilon-exterior algebra of g, where
 x^y = -eps(x, y) y^x.  A generator e_i with eps(e_i, e_i) = +1 squares to
 zero; one with eps(e_i, e_i) = -1 is free.  The basis is the ascending
-monomials e_1^a e_2^b e_3^c, stored as exponent tuples.  The boundary is the
+monomials e_1^a e_2^b e_3^c, stored as exponent tuples.  The same sign
+rules make the epsilon-exterior algebra of g*, which is the engine's dual
+algebra A^!, so `normal_form` is also the tests' product in A^!
+(`letterwise.product`); this module still imports nothing from colorlie.  The boundary is the
 eps-coderivation that extends the bracket:
 
     del(x_1 ... x_n) = sum_{p<q} (-1)^(p+q) E_pq <x_p, x_q> x_1..^p..^q..x_n,
@@ -69,15 +72,17 @@ class CEComplex:
 
     def normal_form(self, word):
         """(coefficient, monomial) of a word of generator indices, sorted by
-        x^y = -eps(x, y) y^x; (0, None) if a square-zero letter repeats."""
+        x^y = -eps(x, y) y^x; (0, None) if a square-zero letter repeats.
+        Each letter y moves left past the earlier letters x > y, a factor
+        -eps(x, y) each, so the sign flips once per such x with eps(x, y) =
+        +1 and an odd count so far."""
         sign = 1
-        for p in range(len(word)):
-            for q in range(p + 1, len(word)):
-                if word[p] > word[q]:
-                    sign *= -self.s[word[p]][word[q]]
         mono = [0] * self.n
-        for x in word:
-            mono[x] += 1
+        for y in word:
+            for x in range(y + 1, self.n):
+                if mono[x] % 2 and self.s[x][y] == 1:
+                    sign = -sign
+            mono[y] += 1
         if any(a > 1 and self.s[i][i] == 1 for i, a in enumerate(mono)):
             return 0, None
         return sign, tuple(mono)

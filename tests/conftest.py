@@ -1,5 +1,5 @@
-"""Shared helpers: random grading-compatible structure constants and span
-comparisons."""
+"""Shared helpers: random grading-compatible structure constants, span
+comparisons, d on elements, cup products and the algebra file writer."""
 
 from __future__ import annotations
 
@@ -9,15 +9,17 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from letterwise import multiply
 
 from colorlie import catalog
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix, find_grading
-from colorlie.cohomology import (betti_from_differential, cup_product,
+from colorlie.cohomology import (CohomologyClass, betti_from_differential,
                                  representatives_from_differential)
 from colorlie.differential import (Differential, check_d_squared,
                                    differential_from_brackets)
-from colorlie.dual import SignAlgebra
-from colorlie.linalg import FIELD_Q, FIELD_QT, echelon, echelon_span
+from colorlie.dual import DgaElement, SignAlgebra
+from colorlie.linalg import (FIELD_Q, FIELD_QT, accumulate, echelon,
+                             echelon_span, residue)
 from colorlie.pbw import uea_relations
 from colorlie.scalars import Scalar
 
@@ -67,6 +69,15 @@ def all_sign_matrices():
     return out
 
 
+def abelian_enveloping(cm):
+    """U(g_Ab) as a sign algebra, read off the signs: e_k square-zero where
+    s_kk = -1, and e_i, e_j commuting where s_ij = +1."""
+    n = cm.n
+    return SignAlgebra(n, {k for k in range(n) if cm.s[k][k] == -1},
+                       {(i, j) for i in range(n) for j in range(i + 1, n)
+                        if cm.s[i][j] == 1})
+
+
 def perturbation_suite(entries, per_matrix, seed=20240817):
     rng = random.Random(seed)
     out = []
@@ -98,6 +109,49 @@ def spans_equal(vecs_a, vecs_b):
         return False
     both = echelon_span(list(vecs_a) + list(vecs_b))
     return len(both) == len(ea)
+
+
+def serialize_algebra(g, param=None):
+    """The algebra file of g, the inverse of `files.parse_algebra_text`."""
+    out = ["dim %d" % g.n, "signs"]
+    for row in g.cm.s:
+        out.append(" ".join("%+d" % x for x in row))
+    for (i, j) in sorted(g.brackets):
+        vec = g.brackets[(i, j)]
+        out.append("bracket %d %d : %s" % (i + 1, j + 1,
+                                           " ".join(str(c) for c in vec)))
+    if param is not None:
+        out.append("param %s" % param)
+    if g.grading is not None:
+        for i, d in enumerate(g.grading.degrees):
+            out.append("grading %d : %s" % (i + 1, " ".join(str(b) for b in d)))
+    return "\n".join(out) + "\n"
+
+
+def apply(d, x):
+    """d of an element: the sum of c d(m) over its terms c m."""
+    acc = {}
+    for mono, c in x.coeffs.items():
+        for m, e in d.apply_monomial(mono).coeffs.items():
+            accumulate(acc, m, c * e)
+    return DgaElement(d.algebra, acc)
+
+
+def cup_product(d, c1, c2):
+    """The class of c1 c2: the product of the representatives, reduced by
+    the echelon rows of B^n that d.matrix(n - 1) keeps, over its row
+    basis."""
+    n = c1.degree + c2.degree
+    if n:
+        dm = d.matrix(n - 1)
+        basis, rows = dm.row_basis, dm.matrix.pivot_rows
+    else:
+        basis, rows = d.matrix(0).col_basis, {}
+    index = {m: i for i, m in enumerate(basis)}
+    prod = multiply(c1.representative, c2.representative)
+    r = residue({index[m]: c for m, c in prod.coeffs.items()}, rows)
+    return CohomologyClass(n, DgaElement(d.algebra,
+                                         {basis[i]: c for i, c in r.items()}))
 
 
 def assert_exact(values, field=FIELD_QT):

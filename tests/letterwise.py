@@ -1,4 +1,11 @@
-"""Reference action of the Koszul-dual differential, letter by letter.
+"""Reference action of the Koszul-dual differential, letter by letter, and
+the product of the dual algebra it uses.
+
+The dual algebra A^! of a color Lie algebra g is the epsilon-exterior
+algebra of g*: the same algebra in which `ce_oracle.CEComplex.normal_form`
+sorts words.  So the tests multiply in A^! with that normal form, and the
+engine, which builds d from a term table and multiplies no monomials,
+keeps no product of its own.
 
 The engine's `Differential.matrix` evaluates d on exponent vectors in closed
 form, and `apply_monomial` reads one column of it back.  This module keeps
@@ -8,13 +15,18 @@ and sum
     sign(p) x_1...x_{p-1} (d x_p) x_{p+1}...x_d
 
 over the positions p, with sign(p) = prod_{r<p} eps(x_r, x_p), normalizing
-each product through the dual sign algebra.  eps comes from the sign
-matrix of the color algebra, which the caller passes in; the engine reads
-every sign off the dual algebra instead, so the two are separate routes to
-one sign.  Tests compare them coefficient for coefficient.
+each product by the normal form.  eps comes from the sign matrix of the
+color algebra, which the caller passes in; the engine reads every sign off
+the dual algebra instead, so the two are separate routes to one sign.
+Tests compare them coefficient for coefficient.
 """
 
 from __future__ import annotations
+
+from ce_oracle import CEComplex
+
+from colorlie.dual import DgaElement
+from colorlie.linalg import accumulate
 
 
 def word(mono):
@@ -25,33 +37,46 @@ def word(mono):
     return out
 
 
+def signs_of(algebra):
+    """A sign matrix s whose epsilon-exterior algebra is the sign algebra
+    A_{J,Q}: s_kk = +1 iff k is in J, s_ij = -1 iff (i, j) is in Q.  On the
+    dual algebra of g it is g's own sign matrix."""
+    n = algebra.n
+    return [[(1 if i in algebra.square_zero else -1) if i == j else
+             -1 if (min(i, j), max(i, j)) in algebra.commuting else 1
+             for j in range(n)] for i in range(n)]
+
+
+def product(signs, a, b):
+    """(sign, monomial) of f^a f^b in the epsilon-exterior algebra of the
+    sign matrix; (0, None) when a square-zero letter repeats."""
+    return CEComplex(signs, {}).normal_form(word(a) + word(b))
+
+
+def multiply(x, y):
+    """The product x y of two elements of one sign algebra."""
+    signs = signs_of(x.algebra)
+    acc = {}
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            sign, mono = product(signs, a, b)
+            if sign:
+                accumulate(acc, mono, ca * cb if sign == 1 else -(ca * cb))
+    return DgaElement(x.algebra, acc)
+
+
 def letterwise_apply(d, mono, cm):
     """Coefficient dict of d(f^mono), one summand per letter of the word,
     with eps from the commutation matrix cm."""
-    alg = d.algebra
+    ext = CEComplex(cm.s, {})
     w = word(mono)
     acc = {}
-    prefix = [0] * alg.n
     for p, letter in enumerate(w):
         sign = 1
         for r in range(p):
             sign *= cm.s[w[r]][letter]
-        suffix = [0] * alg.n
-        for r in range(p + 1, len(w)):
-            suffix[w[r]] += 1
         for dmono, c in d.on_generators[letter].coeffs.items():
-            s1, m1 = alg.multiply_monomials(tuple(prefix), dmono)
-            if s1 == 0:
-                continue
-            s2, m2 = alg.multiply_monomials(m1, tuple(suffix))
-            if s2 == 0:
-                continue
-            total = acc.get(m2)
-            coef = c if sign * s1 * s2 == 1 else -c
-            total = coef if total is None else total + coef
-            if not total:
-                acc.pop(m2)
-            else:
-                acc[m2] = total
-        prefix[letter] += 1
+            s, target = ext.normal_form(w[:p] + word(dmono) + w[p + 1:])
+            if s:
+                accumulate(acc, target, c if sign * s == 1 else -c)
     return acc

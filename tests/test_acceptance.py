@@ -17,12 +17,12 @@ classification-side parameter.
 
 from fractions import Fraction
 
-from conftest import coeff_vectors, spans_equal
+from conftest import abelian_enveloping, coeff_vectors, spans_equal
 
 from colorlie import catalog
 from colorlie.cohomology import betti, representatives_from_differential
 from colorlie.differential import check_d_squared, differential_from_brackets
-from colorlie.dual import DgaElement, SignAlgebra
+from colorlie.dual import DgaElement
 from colorlie.pbw import groebner_check, uea_relations
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.scalars import ONE, ZERO
@@ -208,7 +208,7 @@ def test_criterion_8_hilbert_enumeration_64_matrices():
             cm = CommutationMatrix(((diag[0], s12, s13),
                                     (s12, diag[1], s23),
                                     (s13, s23, diag[2])))
-            a = SignAlgebra(3, cm.square_zero_set(), cm.commuting_pairs())
+            a = abelian_enveloping(cm)
             coeffs = a.hilbert_series().expand(10)
             for deg in range(11):
                 if coeffs[deg] != len(a.monomial_basis(deg)):

@@ -2,13 +2,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import assert_engine_values_exact, assert_exact
+from conftest import (assert_engine_values_exact, assert_exact,
+                      serialize_algebra)
 
 from colorlie import catalog
 from colorlie.algebra import CommutationMatrix
 from colorlie.differential import check_d_squared, differential_from_brackets
-from colorlie.files import (parse_algebra_file, parse_algebra_text,
-                            serialize_algebra)
+from colorlie.files import parse_algebra_file, parse_algebra_text
 from colorlie.pbw import groebner_check, uea_relations
 from colorlie.scalars import ONE, Scalar, ZERO
 
@@ -76,7 +76,7 @@ def test_abelian_family_patterns():
     g0 = next(g for g, q in fam if q == 0)
     assert g0.cm.s == ((1, -1, -1), (-1, 1, -1), (-1, -1, 1))
     for g, _ in fam:
-        assert g.is_abelian() and g.validate().ok
+        assert not g.brackets and g.validate().ok
 
 
 def test_expected_betti_case9_keeps_classified_value():
@@ -135,33 +135,21 @@ def test_round_trip_generic_parameter():
     assert back.has_parameter()
 
 
-def test_exported_data_directory_round_trips(tmp_path):
-    """The export parses back to the catalog and is byte for byte the
-    shipped data/algebras/."""
-    names = catalog.export_directory(str(tmp_path))
-    assert len(names) == 23
-    for i in catalog.ALL_IDS:
-        g, _ = parse_algebra_file(str(tmp_path / ("case%02d.txt" % i)))
-        ref = catalog.load(i)
-        assert g.cm == ref.cm and g.brackets == ref.brackets
-    shipped = Path(__file__).resolve().parent.parent / "data" / "algebras"
-    assert sorted(names) == sorted(p.name for p in shipped.iterdir())
-    for name in names:
-        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes()
-
-
 def test_shipped_data_files_match_catalog():
-    import os
-    root = os.path.join(os.path.dirname(__file__), "..", "data", "algebras")
-    for i in catalog.ALL_IDS:
-        g, _ = parse_algebra_file(os.path.join(root, "case%02d.txt" % i))
-        ref = catalog.load(i)
-        assert g.cm == ref.cm and g.brackets == ref.brackets
-    fam = catalog.abelian_family()
-    for k, (ref, q) in enumerate(fam, start=1):
-        g, _ = parse_algebra_file(os.path.join(
-            root, "abelian_q%d_%d.txt" % (q, k)))
-        assert g.cm == ref.cm and g.is_abelian()
+    """data/algebras/ holds exactly the 15 catalog entries and the 8
+    abelian family members, each parsing back to its algebra and byte for
+    byte its serialized form (parameterized entries keep the symbol t)."""
+    root = Path(__file__).resolve().parent.parent / "data" / "algebras"
+    expected = {"case%02d.txt" % i: catalog.load(i) for i in catalog.ALL_IDS}
+    for k, (g, q) in enumerate(catalog.abelian_family(), start=1):
+        expected["abelian_q%d_%d.txt" % (q, k)] = g
+    assert len(expected) == 23
+    assert sorted(expected) == sorted(p.name for p in root.iterdir())
+    for name, ref in expected.items():
+        g, _ = parse_algebra_file(str(root / name))
+        assert g.cm == ref.cm and g.brackets == ref.brackets, name
+        assert (root / name).read_bytes() == \
+            serialize_algebra(ref).encode("utf-8"), name
 
 
 @pytest.mark.parametrize("row", catalog.ALL_IDS)

@@ -6,13 +6,13 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from conftest import serialize_algebra
 
 from colorlie import catalog, cli, cohomology, differential, linalg
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import differential_from_brackets
 from colorlie.dual import KEY_BITS, SignAlgebra
-from colorlie.files import (AlgebraFileError, parse_algebra_file,
-                            serialize_algebra)
+from colorlie.files import AlgebraFileError, parse_algebra_file
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "algebras"
 
@@ -375,7 +375,9 @@ def test_series_command_inconclusive(tmp_path, capsys):
 
 
 def test_dual_command(tmp_path, capsys):
-    path = write_algebra(tmp_path, catalog.load(5).associated_abelian())
+    g = catalog.load(5)
+    abelian = ColorLieAlgebra(g.cm, {}, grading=g.grading)
+    path = write_algebra(tmp_path, abelian)
     code, out = run(["dual", path], tmp_path, capsys)
     assert code == 0
     assert "square-zero: f1 f2 f3" in out
@@ -383,7 +385,9 @@ def test_dual_command(tmp_path, capsys):
 
 
 def test_hilbert_command(tmp_path, capsys):
-    path = write_algebra(tmp_path, catalog.load(5).associated_abelian())
+    g = catalog.load(5)
+    abelian = ColorLieAlgebra(g.cm, {}, grading=g.grading)
+    path = write_algebra(tmp_path, abelian)
     code, out = run(["hilbert", path], tmp_path, capsys)
     assert code == 0
     assert "hilbert: (1)/(1-3*z+3*z^2-z^3)" in out
@@ -484,15 +488,21 @@ def test_out_to_unwritable_path_is_input_error(tmp_path, capsys):
 
 def test_out_to_missing_directory_fails_before_the_run(tmp_path, capsys,
                                                        monkeypatch):
+    """An --out path in a missing folder, or naming an existing directory,
+    is an input error found before the command runs."""
     def run_table(nmax):
         raise AssertionError("the command ran")
     monkeypatch.setattr(cli, "_table_rows", run_table)
-    target = tmp_path / "absent" / "x.txt"
-    assert cli.main(["table", "--max-degree", "30", "--out", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("input error: ")
-    assert not target.parent.exists()
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for target in (tmp_path / "absent" / "x.txt", folder):
+        assert cli.main(["table", "--max-degree", "30",
+                         "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+    assert not (tmp_path / "absent").exists()
+    assert list(folder.iterdir()) == []
 
 
 @pytest.mark.parametrize("failure", ["missing-file", "short-series",

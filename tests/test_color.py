@@ -42,7 +42,8 @@ def test_full_bracket_skew_extension():
 
 
 def test_full_bracket_unstored_and_range():
-    g = catalog.load(5).associated_abelian()
+    g5 = catalog.load(5)
+    g = ColorLieAlgebra(g5.cm, {}, grading=g5.grading)
     assert g.full_bracket(0, 2) == (ZERO, ZERO, ZERO)
     with pytest.raises(IndexError):
         g.full_bracket(0, 3)
@@ -55,7 +56,8 @@ def test_full_bracket_diagonal_case7():
 
 def test_jacobi_defect_catalog_and_abelian():
     assert catalog.load(3).jacobi_defect() == []
-    assert catalog.load(3).associated_abelian().jacobi_defect() == []
+    g3 = catalog.load(3)
+    assert ColorLieAlgebra(g3.cm, {}, grading=g3.grading).jacobi_defect() == []
 
 
 def test_jacobi_defect_mutant():
@@ -100,19 +102,10 @@ def test_case3_rescaled_coefficient_stays_valid():
 
 def test_derived_dimension():
     assert catalog.load(3).derived_dimension()[0] == 3
-    assert catalog.load(3).associated_abelian().derived_dimension()[0] == 0
+    g3 = catalog.load(3)
+    abelian = ColorLieAlgebra(g3.cm, {}, grading=g3.grading)
+    assert abelian.derived_dimension()[0] == 0
     assert catalog.load(2).derived_dimension()[0] == 1
-
-
-def test_associated_abelian():
-    g5 = catalog.load(5)
-    ab = g5.associated_abelian()
-    assert ab.cm == g5.cm
-    assert ab.is_abelian()
-    assert ab.associated_abelian().brackets == ab.brackets
-    g10 = catalog.load(10, Fraction(1, 2)).associated_abelian()
-    assert g10.cm.s[1][1] == -1 and g10.cm.s[2][2] == -1
-    assert g10.cm.s[0][1] == 1
 
 
 def test_grading_assignment_heisenberg():

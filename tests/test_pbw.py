@@ -2,19 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import (all_sign_matrices, assert_canonical,
-                      random_compatible_algebra)
+from conftest import (abelian_enveloping, all_sign_matrices,
+                      assert_canonical, random_compatible_algebra,
+                      serialize_algebra)
 from koszul_oracle import koszul_dual
 from pbw_oracle import deglex_key
 
 from colorlie import catalog, cli
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import check_d_squared, differential_from_brackets
-from colorlie.dual import dual_of, enveloping_sign_algebra
-from colorlie.files import serialize_algebra
+from colorlie.dual import dual_of
 from colorlie.linalg import FIELD_Q, FIELD_QT
-from colorlie.pbw import (QuadLinRelation, groebner_check, normal_words,
-                          reduce_word, uea_relations, word_str)
+from colorlie.pbw import (QuadLinRelation, groebner_check, reduce_word,
+                          uea_relations, word_str)
 from colorlie.scalars import ONE, Scalar, ZERO
 
 HALF = Scalar.from_fraction(Fraction(1, 2))
@@ -24,8 +24,22 @@ def by_lead(rels):
     return {r.lead: r for r in rels}
 
 
+def normal_words(rels, degree, n):
+    """All degree-d words in n letters with no leading monomial as a factor,
+    in index-lex order."""
+    leads = {r.lead for r in rels}
+    if degree == 0:
+        return [()]
+    words = [(i,) for i in range(n)]
+    for _ in range(degree - 1):
+        words = [w + (i,) for w in words for i in range(n)
+                 if (w[-1], i) not in leads]
+    return words
+
+
 def test_uea_relations_heisenberg():
-    rels = by_lead(uea_relations(catalog.load(5).associated_abelian()))
+    g = catalog.load(5)
+    rels = by_lead(uea_relations(ColorLieAlgebra(g.cm, {}, grading=g.grading)))
     # anticommutators only: v_i v_j + v_j v_i
     assert set(rels) == {(0, 1), (0, 2), (1, 2)}
     for (i, j), r in rels.items():
@@ -163,8 +177,8 @@ def test_normal_words_without_relations():
 
 
 def test_normal_words_heisenberg_abelianization():
-    g = catalog.load(5).associated_abelian()
-    rels = uea_relations(g)
+    g = catalog.load(5)
+    rels = uea_relations(ColorLieAlgebra(g.cm, {}, grading=g.grading))
     words = normal_words(rels, 2, n=3)
     # six normal words: non-increasing index pairs
     assert len(words) == 6
@@ -172,17 +186,18 @@ def test_normal_words_heisenberg_abelianization():
 
 
 def test_normal_words_case10_abelianization():
-    g = catalog.load(10, Fraction(2)).associated_abelian()
+    g = catalog.load(10, Fraction(2))
+    g = ColorLieAlgebra(g.cm, {}, grading=g.grading)
     rels = uea_relations(g)
     words = normal_words(rels, 2, n=3)
-    counts = enveloping_sign_algebra(g).hilbert_series().expand(2)
+    counts = abelian_enveloping(g.cm).hilbert_series().expand(2)
     assert len(words) == counts[2] == 4
 
 
 def test_normal_word_counts_match_hilbert_all_diagonals():
     for g, q in catalog.abelian_family():
         rels = uea_relations(g)
-        series = enveloping_sign_algebra(g).hilbert_series().expand(10)
+        series = abelian_enveloping(g.cm).hilbert_series().expand(10)
         for d in range(11):
             assert len(normal_words(rels, d, n=3)) == series[d], (q, d)
 

@@ -30,7 +30,7 @@ import pbw_oracle  # noqa: E402
 from ce_oracle import CEComplex  # noqa: E402
 from conftest import (admissible_slots, assert_canonical,  # noqa: E402
                       assert_engine_values_exact, assert_exact,
-                      exterior_results)
+                      exterior_results, serialize_algebra)
 from jacobi_oracle import defect_values, jacobi_oracle  # noqa: E402
 from koszul_oracle import koszul_dual  # noqa: E402
 from letterwise import letterwise_apply  # noqa: E402
@@ -44,7 +44,7 @@ from colorlie.cohomology import (betti_from_differential,  # noqa: E402
 from colorlie.differential import (check_d_squared,  # noqa: E402
                                    differential_from_brackets)
 from colorlie.dual import SignAlgebra, dual_of  # noqa: E402
-from colorlie.files import parse_algebra_text, serialize_algebra  # noqa: E402
+from colorlie.files import parse_algebra_text  # noqa: E402
 from colorlie.linalg import (FIELD_Q, FIELD_QT, echelon, rank,  # noqa: E402
                              rank_kernel)
 from colorlie.pbw import groebner_check, reduce_word, uea_relations  # noqa: E402
