@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .cohomology import betti_from_differential, representatives_from_differential
-from .differential import differential_from_brackets
+from .differential import Differential, differential_from_brackets
 from .dual import KEY_BITS, dual_of, quadratic_dual
 from .files import GENERIC, AlgebraFileError, parse_algebra_file
 from .pbw import groebner_check, uea_relations, word_str
@@ -186,16 +186,14 @@ def _pbw_report(g, out):
     return ok
 
 
-def _betti_and_series(g, nmax, algebra=None):
-    """d, the Betti numbers h_0..h_m it computed, m >= nmax, and the series
+def _betti_and_series(d, nmax):
+    """The Betti numbers h_0..h_m of d, m >= nmax, and the series
     recognized from h_0..h_SERIES_TERMS."""
-    d = differential_from_brackets(g, algebra)
     if d.is_zero():
         # the Poincare series is the Hilbert series, exactly; fit nothing
-        h = betti_from_differential(d, nmax).h
-        return d, h, d.algebra.hilbert_series()
+        return betti_from_differential(d, nmax).h, d.algebra.hilbert_series()
     h = betti_from_differential(d, max(nmax, SERIES_TERMS)).h
-    return d, h, recognize(h[:SERIES_TERMS + 1])
+    return h, recognize(h[:SERIES_TERMS + 1])
 
 
 def cmd_cohomology(args, out):
@@ -205,7 +203,8 @@ def cmd_cohomology(args, out):
     if not report.ok:
         print("invalid algebra: %s" % report, file=out)
         return 1
-    d, h, rec = _betti_and_series(g, nmax)
+    d = differential_from_brackets(g)
+    h, rec = _betti_and_series(d, nmax)
     print("parameter: %s" % ("none" if param is None else param), file=out)
     # h_n = nullity(d_n) - rank(d_{n-1}) < 0 only when the image of d_{n-1}
     # leaves the kernel of d_n
@@ -307,7 +306,8 @@ def _table_rows(nmax):
     duals = {}
     for row_id, param, g, expected in _table_entries():
         alg = dual_of(g)
-        _, h, rec = _betti_and_series(g, nmax, duals.setdefault(alg, alg))
+        d = Differential(duals.setdefault(alg, alg), g.brackets)
+        h, rec = _betti_and_series(d, nmax)
         h = h[:nmax + 1]
         rows.append({
             "id": row_id,

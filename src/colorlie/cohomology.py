@@ -29,9 +29,6 @@ class CohomologyClass:
         self.degree = degree
         self.representative = representative
 
-    def is_zero(self):
-        return self.representative.is_zero()
-
     def __repr__(self):
         return "CohomologyClass(%d, %s)" % (self.degree, self.representative)
 

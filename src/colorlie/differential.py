@@ -1,7 +1,10 @@
 """The Koszul-dual differential graded algebra of a color Lie algebra.
 
-The differential is stored on generators only: d f_k = sum_{i<=j} c_ij^k
-f_i f_j.  On an ascending word x_1...x_d it is the derivation
+On the generators the differential is read off the bracket table as it
+stands: d f_k = sum_{i<=j} c_ij^k f_i f_j, dual to the linear part of U(g)'s
+relations, where a square f_i^2 is 0 at a square-zero f_i.  The word f_i
+f_j with i <= j is already ascending, so every term keeps its sign.  On an
+ascending word x_1...x_d it is the derivation
 
     d(x_1...x_d) = sum_p sign(p) x_1...x_{p-1} (d x_p) x_{p+1}...x_d,
 
@@ -19,13 +22,13 @@ Neither side is patched.)
 
 The engine evaluates that sum in closed form on the exponent vector a of
 f^a = f_1^a_1 ... f_n^a_n.  Let flip(i, j) = 1 when f_i and f_j
-anticommute in A^!.  For a term c f^m of d f_k, left_i =
-sum_{j<i} flip(j, i) m_j and right_i = sum_{j>i} flip(i, j) m_j count the
-letters of f^m that anticommute with f_i and sort before or after it.  The
-a_k letters f_k of the word sit in one block; moving the term from the r-th
-to the (r+1)-th of them multiplies its summand by rho = -(-1)^(left_k +
-right_k): the prefix gains one free letter f_k, and f^m sorts past it.  The
-block sums to [a_k]_rho times its first summand, [a]_1 = a, [a]_{-1} = a mod 2:
+anticommute in A^!.  A term c f_i f_j of d f_k has m = e_i + e_j, and
+left_x = sum_{y<x} flip(y, x) m_y and right_x = sum_{y>x} flip(x, y) m_y
+count the letters f_i, f_j of f^m that anticommute with f_x and sort
+before or after it.  The a_k letters f_k of the word sit in one block;
+moving the term from the r-th to the (r+1)-th of them multiplies its
+summand by rho = -(-1)^(left_k + right_k): the prefix gains one free letter
+f_k, and f^m sorts past it.  The block sums to [a_k]_rho times its first summand, [a]_1 = a, [a]_{-1} = a mod 2:
 
     d(f^a) = sum_k sum_{c f^m in d f_k}
              c sigma_k s_1 s_2 [a_k]_rho f^(a - e_k + m).
@@ -41,11 +44,12 @@ a: sigma_k s_1 s_2 = (-1)^(u + <a mod 2, w>), with w_i = left_i + 1 +
 flip(i, k) for i < k (the Koszul sign alone drops the flip), w_i = right_i
 for i >= k and u = right_k, all mod 2.  The term is 0 when a - e_k + m exceeds
 a square cap; exponents only grow, so no earlier product needs the check.
-A basis monomial has a_i <= 1 at a capped i, so a - e_k + m exceeds the cap
-there exactly when m_i - [i = k] = 1 and a_i is odd: a test on the parity
-bitmask of a.  A term with m_i >= 2 at a capped i always exceeds it and is
-dropped.  The constructor tabulates (k, m - e_k, c, rho, w, u, cap mask)
-once per term.
+A basis monomial has a_x <= 1 at a capped x, so a - e_k + m exceeds the cap
+there exactly when x is in {i, j} - {k} and a_x is odd: a test on the
+parity bitmask of a.  (A square f_i^2 at a capped i would exceed it at
+every a; it is not in the table.)  The constructor tabulates
+(k, m - e_k, c, rho, w, u, cap mask) once per term, in the order k, then
+the bracket table's own order.
 
 `matrix(n)` evaluates the sum on the whole degree-n basis in one
 term-major pass.  It reads the parity bitmask and the packed key of each
@@ -95,41 +99,31 @@ from .scalars import common_denominator, quotient, times_denominator
 
 
 class Differential:
-    def __init__(self, algebra, on_generators):
+    def __init__(self, algebra, brackets):
         self.algebra = algebra
-        self.on_generators = list(on_generators)
-        for el in self.on_generators:
-            if not el.is_zero() and el.degree() != 2:
-                raise ValueError("d of a generator must be homogeneous of degree 2")
         n = algebra.n
         capped = algebra.square_zero
         flip = [[i < j and (i, j) not in algebra.commuting
                  for j in range(n)] for i in range(n)]
-        # one entry (k, m - e_k, c, rho, w, u, cap) per term of d f_k, with
-        # m - e_k as a packed key (dual.KEY_BITS) and w and cap as bitmasks
+        # one entry (k, m - e_k, c, rho, w, u, cap) per term c f_i f_j of
+        # d f_k, m = e_i + e_j, with m - e_k as a packed key (dual.KEY_BITS)
+        # and w and cap as bitmasks; f_i^2 is 0 at a square-zero f_i
         terms = []
-        for k, el in enumerate(self.on_generators):
-            for m, c in el.coeffs.items():
-                if any(m[i] > 1 for i in capped):
+        for k in range(n):
+            for (i, j), vec in brackets.items():
+                c = vec[k]
+                if not c or (i == j and i in capped):
                     continue
-                # left_i and right_i, in one pass over m's nonzero exponents
-                left = [0] * n
-                right = [0] * n
-                for j, e in enumerate(m):
-                    if e:
-                        for i in range(n):
-                            if flip[j][i]:
-                                left[i] += e
-                            elif flip[i][j]:
-                                right[i] += e
+                left = [flip[i][x] + flip[j][x] for x in range(n)]
+                right = [flip[x][i] + flip[x][j] for x in range(n)]
                 rho = -(-1) ** (left[k] + right[k])
                 w = 0
-                for i in range(n):
-                    bit = left[i] + 1 + flip[i][k] if i < k else right[i]
-                    w |= bit % 2 << i
-                shift = sum((e - (j == k)) << (KEY_BITS * j)
-                            for j, e in enumerate(m))
-                cap = sum(1 << i for i in capped if m[i] - (i == k) > 0)
+                for x in range(n):
+                    bit = left[x] + 1 + flip[x][k] if x < k else right[x]
+                    w |= bit % 2 << x
+                shift = ((1 << KEY_BITS * i) + (1 << KEY_BITS * j)
+                         - (1 << KEY_BITS * k))
+                cap = sum(1 << x for x in {i, j} - {k} if x in capped)
                 terms.append((k, shift, c, rho, w, right[k] % 2, cap))
         # the common denominator D of the table (module docstring)
         den = self._denominator = common_denominator(term[2] for term in terms)
@@ -213,30 +207,10 @@ class DifferentialMatrix:
         self.col_basis = col_basis
 
 
-def differential_from_brackets(g, algebra=None):
-    """d f_k = sum_{i<=j} c_ij^k f_i f_j on dual_of(g).  The word f_i f_j
-    with i <= j is already ascending, so every term keeps its sign; a square
-    f_i^2 vanishes when f_i is square-zero in the dual.
-
-    Given `algebra`, which must equal dual_of(g), d is built on that object,
-    so differentials that share it share its degree records."""
-    alg = dual_of(g)
-    if algebra is not None:
-        if algebra != alg:
-            raise ValueError("%r is not the dual algebra %r" % (algebra, alg))
-        alg = algebra
-    gens = []
-    for k in range(g.n):
-        coeffs = {}
-        for (i, j), vec in g.brackets.items():
-            if i == j and i in alg.square_zero:
-                continue
-            mono = [0] * g.n
-            mono[i] += 1
-            mono[j] += 1
-            coeffs[tuple(mono)] = vec[k]
-        gens.append(DgaElement(alg, coeffs))
-    return Differential(alg, gens)
+def differential_from_brackets(g):
+    """d f_k = sum_{i<=j} c_ij^k f_i f_j on dual_of(g): the Differential of
+    g's bracket table, built on a fresh dual algebra."""
+    return Differential(dual_of(g), g.brackets)
 
 
 def check_d_squared(d, nmax):

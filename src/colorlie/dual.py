@@ -149,25 +149,15 @@ class DgaElement:
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra, coeffs=None):
+    def __init__(self, algebra, coeffs):
         self.algebra = algebra
         self.coeffs = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                if c:
-                    self.coeffs[tuple(mono)] = exact(c)
+        for mono, c in coeffs.items():
+            if c:
+                self.coeffs[tuple(mono)] = exact(c)
 
     def is_zero(self):
         return not self.coeffs
-
-    def degree(self):
-        """Homological degree of a homogeneous element (None for 0)."""
-        degs = {sum(m) for m in self.coeffs}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
 
     def __eq__(self, other):
         return (isinstance(other, DgaElement) and self.algebra == other.algebra

@@ -15,10 +15,11 @@ and sum
     sign(p) x_1...x_{p-1} (d x_p) x_{p+1}...x_d
 
 over the positions p, with sign(p) = prod_{r<p} eps(x_r, x_p), normalizing
-each product by the normal form.  eps comes from the sign matrix of the
-color algebra, which the caller passes in; the engine reads every sign off
-the dual algebra instead, so the two are separate routes to one sign.
-Tests compare them coefficient for coefficient.
+each product by the normal form.  d on the generators and eps come from
+the bracket table and the sign matrix of the color algebra, which the caller
+passes in; the engine reads every sign off the dual algebra and d off its
+own term table instead, so the two are separate routes to one d.  Tests
+compare them coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -65,17 +66,33 @@ def multiply(x, y):
     return DgaElement(x.algebra, acc)
 
 
-def letterwise_apply(d, mono, cm):
+def generator_images(g):
+    """d f_k = sum_{i<=j} c_ij^k f_i f_j as one coefficient dict per k, read
+    off g's bracket table; f_i^2 is 0 where s_ii = +1, so f_i is
+    square-zero in the dual."""
+    images = [{} for _ in range(g.n)]
+    for (i, j), vec in g.brackets.items():
+        if i == j and g.cm.s[i][i] == 1:
+            continue
+        mono = tuple((l == i) + (l == j) for l in range(g.n))
+        for k, c in enumerate(vec):
+            if c:
+                images[k][mono] = c
+    return images
+
+
+def letterwise_apply(g, mono):
     """Coefficient dict of d(f^mono), one summand per letter of the word,
-    with eps from the commutation matrix cm."""
-    ext = CEComplex(cm.s, {})
+    with d on the generators and eps read off g."""
+    ext = CEComplex(g.cm.s, {})
+    images = generator_images(g)
     w = word(mono)
     acc = {}
     for p, letter in enumerate(w):
         sign = 1
         for r in range(p):
-            sign *= cm.s[w[r]][letter]
-        for dmono, c in d.on_generators[letter].coeffs.items():
+            sign *= g.cm.s[w[r]][letter]
+        for dmono, c in images[letter].items():
             s, target = ext.normal_form(w[:p] + word(dmono) + w[p + 1:])
             if s:
                 accumulate(acc, target, c if sign * s == 1 else -c)

@@ -10,7 +10,7 @@ from conftest import serialize_algebra
 
 from colorlie import catalog, cli, cohomology, differential, linalg
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
-from colorlie.differential import differential_from_brackets
+from colorlie.differential import Differential
 from colorlie.dual import KEY_BITS, SignAlgebra
 from colorlie.files import AlgebraFileError, parse_algebra_file
 
@@ -436,12 +436,11 @@ def test_table_rows_share_one_dual_algebra_per_sign_algebra(monkeypatch):
     among them) read the same degree records."""
     algebras = []
 
-    def spy(g, algebra=None):
-        d = differential_from_brackets(g, algebra)
-        algebras.append(d.algebra)
-        return d
+    def spy(algebra, brackets):
+        algebras.append(algebra)
+        return Differential(algebra, brackets)
 
-    monkeypatch.setattr(cli, "differential_from_brackets", spy)
+    monkeypatch.setattr(cli, "Differential", spy)
     cli._table_rows(2)
     shared = {}
     for alg in algebras:

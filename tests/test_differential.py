@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import COEFF_POOL, apply, assert_canonical, assert_field_pivots
+from conftest import (COEFF_POOL, all_sign_matrices, apply, assert_canonical,
+                      assert_field_pivots, on_generators)
 from letterwise import letterwise_apply, multiply, product, word
 
 from colorlie import catalog
@@ -22,16 +23,17 @@ def mono(alg, *exps):
 
 def test_generator_images_case3():
     d = differential_from_brackets(catalog.load(3))
-    assert d.on_generators[0] == mono(d.algebra, 0, 1, 1)   # f2 f3
-    assert d.on_generators[1] == mono(d.algebra, 1, 0, 1)   # f1 f3
-    assert d.on_generators[2] == mono(d.algebra, 1, 1, 0)   # f1 f2
+    assert on_generators(d) == [mono(d.algebra, 0, 1, 1),   # f2 f3
+                                mono(d.algebra, 1, 0, 1),   # f1 f3
+                                mono(d.algebra, 1, 1, 0)]   # f1 f2
 
 
 def test_generator_images_case7():
     d = differential_from_brackets(catalog.load(7))
-    assert d.on_generators[0] == mono(d.algebra, 0, 0, 2)   # f3^2
-    assert d.on_generators[1].is_zero()
-    assert d.on_generators[2].is_zero()
+    d1, d2, d3 = on_generators(d)
+    assert d1 == mono(d.algebra, 0, 0, 2)   # f3^2
+    assert d2.is_zero()
+    assert d3.is_zero()
 
 
 def test_generator_images_off_grading():
@@ -50,7 +52,7 @@ def test_generator_images_off_grading():
         alg = d.algebra
         gens = [tuple(int(a == b) for b in range(alg.n)) for a in range(alg.n)]
         capped_squares += len(alg.square_zero)
-        for k, el in enumerate(d.on_generators):
+        for k, el in enumerate(on_generators(d)):
             expected = {}
             for (a, b), vec in brackets.items():
                 sign, m = product(cm.s, gens[a], gens[b])
@@ -64,9 +66,33 @@ def test_generator_images_off_grading():
 def test_abelian_differential_is_zero():
     g = catalog.load(5)
     d = differential_from_brackets(ColorLieAlgebra(g.cm, {}, grading=g.grading))
-    assert all(el.is_zero() for el in d.on_generators)
+    assert d.is_zero()
+    assert all(el.is_zero() for el in on_generators(d))
     for n in range(4):
         assert not any(d.matrix(n).matrix.columns)
+
+
+def test_a_square_drops_only_at_a_square_zero_generator():
+    """Differential(alg, {(i, i): vec}) gives d f_k = c^k f_i^2 at a free
+    f_i, read off matrix(1) and divided by its common denominator, and is
+    zero at a square-zero f_i, where f_i^2 = 0: on every sign matrix whose
+    dual has both kinds of generator."""
+    vec = (2, Fraction(-1, 3), 5)
+    mixed = 0
+    for cm in all_sign_matrices():
+        alg = dual_of(ColorLieAlgebra(cm, {}))
+        if len(alg.square_zero) in (0, alg.n):
+            continue
+        mixed += 1
+        for i in range(alg.n):
+            d = Differential(alg, {(i, i): vec})
+            if i in alg.square_zero:
+                assert d.is_zero(), (cm, i)
+            else:
+                square = tuple(2 * (l == i) for l in range(alg.n))
+                assert on_generators(d) == [DgaElement(alg, {square: c})
+                                            for c in vec], (cm, i)
+    assert mixed == 48
 
 
 def test_apply_case1_detects_special_value():
@@ -127,7 +153,7 @@ def test_matrix_past_one_byte_matches_letterwise():
         col = dm.matrix.columns[index[mono]]
         assert col, mono
         assert {dm.row_basis[i]: c for i, c in col.items()} == \
-            letterwise_apply(d, mono, cm), mono
+            letterwise_apply(g, mono), mono
 
 
 def test_differentials_on_one_algebra_share_its_degree_records():
@@ -137,7 +163,7 @@ def test_differentials_on_one_algebra_share_its_degree_records():
     that are equal but not the same."""
     g, h = (catalog.load(10, mu) for mu in (Fraction(1, 2), Fraction(3)))
     shared = dual_of(g)
-    d, e = (differential_from_brackets(x, shared) for x in (g, h))
+    d, e = (Differential(shared, x.brackets) for x in (g, h))
     apart = differential_from_brackets(h)
     for n in range(7):
         assert d.algebra.degree_record(n) is e.algebra.degree_record(n)
@@ -146,11 +172,6 @@ def test_differentials_on_one_algebra_share_its_degree_records():
         assert apart.matrix(n).col_basis == d.matrix(n).col_basis
         assert apart.matrix(n).col_basis is not d.matrix(n).col_basis
         assert apart.matrix(n).matrix.columns == e.matrix(n).matrix.columns
-
-
-def test_differential_from_brackets_rejects_another_algebra():
-    with pytest.raises(ValueError):
-        differential_from_brackets(catalog.load(3), dual_of(catalog.load(13)))
 
 
 def test_image_case5_is_f1f2_line():
@@ -227,7 +248,7 @@ def _assert_closed_form_matches_letterwise(g, nmax, label):
     for deg in range(nmax + 1):
         for m in d.algebra.monomial_basis(deg):
             assert d.apply_monomial(m).coeffs == \
-                letterwise_apply(d, m, g.cm), (label, m)
+                letterwise_apply(g, m), (label, m)
 
 
 def test_closed_form_matches_letterwise_catalog():
@@ -282,8 +303,9 @@ def test_leibniz_contract_on_word_splits():
         d = differential_from_brackets(g)
         alg = d.algebra
         partials = [
-            Differential(alg, [el if j == k else DgaElement(alg)
-                               for j, el in enumerate(d.on_generators)])
+            Differential(alg, {ij: tuple(c if l == k else 0
+                                         for l, c in enumerate(vec))
+                               for ij, vec in g.brackets.items()})
             for k in range(alg.n)]
         monos = [m for deg in range(1, 6) for m in alg.monomial_basis(deg)]
         for _ in range(35):

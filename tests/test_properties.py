@@ -30,10 +30,10 @@ import pbw_oracle  # noqa: E402
 from ce_oracle import CEComplex  # noqa: E402
 from conftest import (admissible_slots, assert_canonical,  # noqa: E402
                       assert_engine_values_exact, assert_exact,
-                      exterior_results, serialize_algebra)
+                      exterior_results, on_generators, serialize_algebra)
 from jacobi_oracle import defect_values, jacobi_oracle  # noqa: E402
 from koszul_oracle import koszul_dual  # noqa: E402
-from letterwise import letterwise_apply  # noqa: E402
+from letterwise import generator_images, letterwise_apply  # noqa: E402
 
 from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,  # noqa: E402
                               find_grading)
@@ -505,8 +505,8 @@ def _assert_columns_match_letterwise(g):
     Fractions among d's coefficients on the generators; over Q every entry
     is an int."""
     d = differential_from_brackets(g)
-    den = lcm(*(c.denominator for el in d.on_generators
-                for c in el.coeffs.values() if type(c) is Fraction))
+    den = lcm(*(c.denominator for image in generator_images(g)
+                for c in image.values() if type(c) is Fraction))
     for n in range(7):
         dm = d.matrix(n)
         for mono, col in zip(dm.col_basis, dm.matrix.columns):
@@ -514,7 +514,7 @@ def _assert_columns_match_letterwise(g):
             if not g.has_parameter():
                 assert all(type(c) is int for c in col.values()), (n, mono)
             assert {dm.row_basis[i]: c for i, c in col.items()} == {
-                m: den * c for m, c in letterwise_apply(d, mono, g.cm).items()
+                m: den * c for m, c in letterwise_apply(g, mono).items()
             }, (n, mono)
 
 
@@ -572,4 +572,4 @@ def test_koszul_pairing_matches_the_engine(g):
     at s_ii = +1, which has no rule of U(g) and which the engine drops."""
     algebra, images = koszul_dual(g)
     assert algebra == dual_of(g)
-    assert images == differential_from_brackets(g).on_generators
+    assert images == on_generators(differential_from_brackets(g))
