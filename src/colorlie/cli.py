@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .cohomology import betti_from_differential, representatives_from_differential
-from .differential import Differential, differential_from_brackets
+from .differential import differential_from_brackets
 from .dual import KEY_BITS, dual_of, quadratic_dual
 from .files import GENERIC, AlgebraFileError, parse_algebra_file
 from .pbw import groebner_check, uea_relations, word_str
@@ -300,13 +300,11 @@ def _table_entries():
 
 def _table_rows(nmax):
     """One row per table entry.  Rows with equal dual algebras build their
-    differentials on one shared algebra object, which enumerates each
-    degree's basis once for all of them; nothing outlives the call."""
+    differentials on the one object dual_of keeps for it, which enumerates
+    each degree's basis once for all of them."""
     rows = []
-    duals = {}
     for row_id, param, g, expected in _table_entries():
-        alg = dual_of(g)
-        d = Differential(duals.setdefault(alg, alg), g.brackets)
+        d = differential_from_brackets(g)
         h, rec = _betti_and_series(d, nmax)
         h = h[:nmax + 1]
         rows.append({

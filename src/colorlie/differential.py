@@ -47,15 +47,18 @@ a square cap; exponents only grow, so no earlier product needs the check.
 A basis monomial has a_x <= 1 at a capped x, so a - e_k + m exceeds the cap
 there exactly when x is in {i, j} - {k} and a_x is odd: a test on the
 parity bitmask of a.  (A square f_i^2 at a capped i would exceed it at
-every a; it is not in the table.)  The constructor tabulates
-(k, m - e_k, c, rho, w, u, cap mask) once per term, in the order k, then
-the bracket table's own order.
+every a; it is not in the table.)  Only c depends on g: m - e_k, rho, w,
+u and the cap mask depend on the dual algebra and the slot (i, j, k)
+alone, so the algebra builds them once per slot for every differential on
+it (`SignAlgebra.term_shape`).  The constructor pairs each shape with its
+c, in the order k, then the bracket table's own order.
 
 `matrix(n)` evaluates the sum on the whole degree-n basis in one
 term-major pass.  It reads the parity bitmask and the packed key of each
 basis monomial and the row index off the algebra's degree records
 (`SignAlgebra.degree_record`), which the algebra builds once for every
-differential on it; then each term of the table walks all the columns.
+differential on it, and `dual_of` hands every g with the same dual the
+same algebra object; then each term of the table walks all the columns.
 The key of f^a is sum_i a_i << (KEY_BITS i), one field per exponent, and
 the table holds each m - e_k packed the same way, as one int.  So a term
 reads a_k, or a_k mod 2 when rho = -1, off the key by a shift and a mask,
@@ -93,7 +96,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .dual import KEY_BITS, DgaElement, dual_of
+from .dual import DgaElement, dual_of
 from .linalg import ExactMatrix
 from .scalars import common_denominator, quotient, times_denominator
 
@@ -101,41 +104,26 @@ from .scalars import common_denominator, quotient, times_denominator
 class Differential:
     def __init__(self, algebra, brackets):
         self.algebra = algebra
-        n = algebra.n
-        capped = algebra.square_zero
-        flip = [[i < j and (i, j) not in algebra.commuting
-                 for j in range(n)] for i in range(n)]
-        # one entry (k, m - e_k, c, rho, w, u, cap) per term c f_i f_j of
-        # d f_k, m = e_i + e_j, with m - e_k as a packed key (dual.KEY_BITS)
-        # and w and cap as bitmasks; f_i^2 is 0 at a square-zero f_i
+        # one (shape, c) per term c f_i f_j of d f_k, the shape the
+        # algebra's (SignAlgebra.term_shape), in the order k, then the
+        # bracket table's own; f_i^2 is 0 at a square-zero f_i, whose
+        # shape is ()
         terms = []
-        for k in range(n):
+        for k in range(algebra.n):
             for (i, j), vec in brackets.items():
                 c = vec[k]
-                if not c or (i == j and i in capped):
-                    continue
-                left = [flip[i][x] + flip[j][x] for x in range(n)]
-                right = [flip[x][i] + flip[x][j] for x in range(n)]
-                rho = -(-1) ** (left[k] + right[k])
-                w = 0
-                for x in range(n):
-                    bit = left[x] + 1 + flip[x][k] if x < k else right[x]
-                    w |= bit % 2 << x
-                shift = ((1 << KEY_BITS * i) + (1 << KEY_BITS * j)
-                         - (1 << KEY_BITS * k))
-                cap = sum(1 << x for x in {i, j} - {k} if x in capped)
-                terms.append((k, shift, c, rho, w, right[k] % 2, cap))
+                if c:
+                    shape = algebra.term_shape(i, j, k)
+                    if shape:
+                        terms.append((shape, c))
         # the common denominator D of the table (module docstring)
-        den = self._denominator = common_denominator(term[2] for term in terms)
-        # each term with c D for c, the offset and mask that read q =
-        # [a_k]_rho off a packed key, and its multiples q -> c D q, kept for
+        den = self._denominator = common_denominator(c for _, c in terms)
+        # each term with c D for c, and its multiples q -> c D q, kept for
         # every degree
         self._terms = []
-        for k, shift, c, rho, w, u, cap in terms:
+        for (at, qmask, shift, w, u, cap), c in terms:
             c = times_denominator(c, den)
-            qmask = (1 << KEY_BITS) - 1 if rho == 1 else 1
-            self._terms.append((KEY_BITS * k, qmask, shift, c, w, u, cap,
-                                {1: c}))
+            self._terms.append((at, qmask, shift, c, w, u, cap, {1: c}))
         # degree -> DifferentialMatrix; nothing writes to a built matrix
         self._matrices = {}
 
@@ -209,7 +197,9 @@ class DifferentialMatrix:
 
 def differential_from_brackets(g):
     """d f_k = sum_{i<=j} c_ij^k f_i f_j on dual_of(g): the Differential of
-    g's bracket table, built on a fresh dual algebra."""
+    g's bracket table, built on the process's one object for g's dual
+    algebra, so it reads the degree records and term shapes that every
+    differential on that dual shares."""
     return Differential(dual_of(g), g.brackets)
 
 

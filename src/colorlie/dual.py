@@ -5,6 +5,14 @@ A sign algebra has generators f_1..f_n, relations f_i^2 = 0 for i in J,
 commuting pairs Q and anticommuting pairs P - Q.  Monomials are exponent
 vectors in ascending generator order; sorting signs are a pure function of
 the exponent vectors.
+
+`dual_of` returns one SignAlgebra object per sign algebra for the whole
+process, so everything the algebra builds on first use and keeps, its
+degree records and the sign data of each Koszul term, is built once for
+every algebra g with that sign matrix and every request on it.  That table
+grows only with distinct sign algebras: at most 2^(n(n+1)/2) on n
+generators, 64 for n = 3.  A SignAlgebra(n, J, Q) built directly is a
+private object with its own records.
 """
 
 from __future__ import annotations
@@ -36,11 +44,17 @@ class SignAlgebra:
         for (i, j) in self.commuting:
             if not (0 <= i < j < n):
                 raise ValueError("commuting pair out of range")
-        # the largest degree with a monomial: n when every generator is
-        # square-zero (an exterior algebra), else unbounded
-        self.top_degree = n if len(self.square_zero) == n else inf
         # degree -> DegreeRecord, filled by degree_record
         self._degrees = {}
+        # (i, j, k) -> the term shape of c f_i f_j in d f_k, filled by
+        # term_shape
+        self._shapes = {}
+
+    @property
+    def top_degree(self):
+        """The largest degree with a monomial: n when every generator is
+        square-zero (an exterior algebra), else unbounded."""
+        return self.n if len(self.square_zero) == self.n else inf
 
     def __eq__(self, other):
         return (isinstance(other, SignAlgebra) and self.n == other.n
@@ -107,6 +121,40 @@ class SignAlgebra:
             basis, odds, keys, {key: i for i, key in enumerate(keys)})
         return record
 
+    def term_shape(self, i, j, k):
+        """The sign data (KEY_BITS k, qmask, shift, w, u, cap) of a term
+        c f_i f_j, i <= j, of d f_k on this algebra as A^!, in the notation
+        of the `differential` module's docstring: shift is m - e_k as a
+        packed key, qmask reads q = [a_k]_rho off a key, w and cap are
+        bitmasks.  () where f_i^2 = 0, i == j square-zero: no term.  It
+        does not depend on c, so it is built on first use and kept, like
+        the degree records, for every differential on this object;
+        read-only."""
+        shape = self._shapes.get((i, j, k))
+        if shape is not None:
+            return shape
+        n, capped = self.n, self.square_zero
+        if i == j and i in capped:
+            shape = ()
+        else:
+            # flip(x, y) = 1 when f_x and f_y anticommute
+            flip = [[x < y and (x, y) not in self.commuting
+                     for y in range(n)] for x in range(n)]
+            left = [flip[i][x] + flip[j][x] for x in range(n)]
+            right = [flip[x][i] + flip[x][j] for x in range(n)]
+            w = 0
+            for x in range(n):
+                bit = left[x] + 1 + flip[x][k] if x < k else right[x]
+                w |= bit % 2 << x
+            # rho = -(-1)^(left_k + right_k): +1 reads a_k, -1 its parity
+            qmask = (1 << KEY_BITS) - 1 if (left[k] + right[k]) % 2 else 1
+            shift = ((1 << KEY_BITS * i) + (1 << KEY_BITS * j)
+                     - (1 << KEY_BITS * k))
+            cap = sum(1 << x for x in {i, j} - {k} if x in capped)
+            shape = (KEY_BITS * k, qmask, shift, w, right[k] % 2, cap)
+        self._shapes[(i, j, k)] = shape
+        return shape
+
     def monomial_basis(self, degree):
         """All exponent vectors of the given degree respecting the square
         caps, in lexicographic order: the basis of degree_record(degree),
@@ -132,16 +180,28 @@ def quadratic_dual(a):
                        allpairs - a.commuting)
 
 
+# SignAlgebra -> itself: the one object dual_of returns for each sign
+# algebra in the process (module docstring)
+_DUALS = {}
+
+
 def dual_of(g):
     """The quadratic dual of U(g_Ab), read straight off the sign matrix:
     f_k is square-zero unless eps(e_k, e_k) = -1, and f_i, f_j (i < j)
     commute unless eps(e_i, e_j) = +1.  So quadratic_dual(dual_of(g)) is
     U(g_Ab) itself: J = {k : eps(e_k, e_k) = -1}, Q = {(i, j) : eps(e_i,
-    e_j) = +1}."""
+    e_j) = +1}.
+
+    Every call with the same dual returns the same object for the whole
+    process, with the degree records and term shapes that earlier callers
+    built on it, so it is read-only.  At most one object is kept per sign
+    algebra, 2^(n(n+1)/2) on n generators, each with its records up to
+    the highest degree any caller asked of it."""
     n, s = g.n, g.cm.s
-    return SignAlgebra(n, [k for k in range(n) if s[k][k] != -1],
-                       [(i, j) for i in range(n) for j in range(i + 1, n)
-                        if s[i][j] != 1])
+    alg = SignAlgebra(n, [k for k in range(n) if s[k][k] != -1],
+                      [(i, j) for i in range(n) for j in range(i + 1, n)
+                       if s[i][j] != 1])
+    return _DUALS.setdefault(alg, alg)
 
 
 class DgaElement:

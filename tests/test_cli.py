@@ -10,8 +10,8 @@ from conftest import serialize_algebra
 
 from colorlie import catalog, cli, cohomology, differential, linalg
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
-from colorlie.differential import Differential
-from colorlie.dual import KEY_BITS, SignAlgebra
+from colorlie.differential import differential_from_brackets
+from colorlie.dual import KEY_BITS, SignAlgebra, dual_of
 from colorlie.files import AlgebraFileError, parse_algebra_file
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "algebras"
@@ -431,21 +431,25 @@ def test_table_text(tmp_path, capsys):
 
 
 def test_table_rows_share_one_dual_algebra_per_sign_algebra(monkeypatch):
-    """Every row's differential is built on the one object the call keeps
-    for its dual algebra, so rows with equal duals (row 10's six samples
-    among them) read the same degree records."""
-    algebras = []
+    """Every row's differential is built by differential_from_brackets on
+    the one object dual_of keeps for its dual algebra, so rows with equal
+    duals (row 10's six samples among them) read the same degree records,
+    and table keeps no map of its own."""
+    built = []
 
-    def spy(algebra, brackets):
-        algebras.append(algebra)
-        return Differential(algebra, brackets)
+    def spy(g):
+        d = differential_from_brackets(g)
+        built.append((g, d))
+        return d
 
-    monkeypatch.setattr(cli, "Differential", spy)
+    monkeypatch.setattr(cli, "differential_from_brackets", spy)
     cli._table_rows(2)
+    assert len(built) == 32
     shared = {}
-    for alg in algebras:
-        assert shared.setdefault(alg, alg) is alg
-    assert len(shared) < len(algebras)
+    for g, d in built:
+        assert d.algebra is dual_of(g)
+        assert shared.setdefault(d.algebra, d.algebra) is d.algebra
+    assert len(shared) < len(built)
 
 
 def test_table_csv_header(tmp_path, capsys):

@@ -11,7 +11,7 @@ from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.cohomology import betti
 from colorlie.differential import (Differential, check_d_squared,
                                    differential_from_brackets)
-from colorlie.dual import DgaElement, dual_of
+from colorlie.dual import DgaElement, SignAlgebra, dual_of
 from colorlie.linalg import FIELD_Q, FIELD_QT, accumulate, echelon, rank
 from colorlie.pbw import groebner_check, uea_relations
 from colorlie.scalars import ONE, T, ZERO, Scalar
@@ -157,14 +157,17 @@ def test_matrix_past_one_byte_matches_letterwise():
 
 
 def test_differentials_on_one_algebra_share_its_degree_records():
-    """Row 10 at two parameters has one dual algebra: built on one shared
-    object, both differentials read the same record of each degree, and
-    their matrices the same basis lists; built apart, they read records
-    that are equal but not the same."""
+    """Row 10 at two parameters has one dual algebra: dual_of hands both
+    the same object, so both differentials read the same record of each
+    degree, and their matrices the same basis lists; a differential on a
+    private SignAlgebra of that dual reads records that are equal but not
+    the same, and builds the same matrices."""
     g, h = (catalog.load(10, mu) for mu in (Fraction(1, 2), Fraction(3)))
-    shared = dual_of(g)
-    d, e = (Differential(shared, x.brackets) for x in (g, h))
-    apart = differential_from_brackets(h)
+    d, e = differential_from_brackets(g), differential_from_brackets(h)
+    assert d.algebra is e.algebra is dual_of(g)
+    alg = d.algebra
+    apart = Differential(SignAlgebra(alg.n, alg.square_zero, alg.commuting),
+                         h.brackets)
     for n in range(7):
         assert d.algebra.degree_record(n) is e.algebra.degree_record(n)
         assert d.matrix(n).col_basis is e.matrix(n).col_basis

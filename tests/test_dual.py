@@ -5,7 +5,8 @@ from math import inf
 
 import pytest
 from basis_oracle import unpack_key
-from conftest import abelian_enveloping, all_sign_matrices
+from conftest import (abelian_enveloping, all_sign_matrices,
+                      random_compatible_algebra)
 from letterwise import multiply, product, signs_of
 
 from colorlie import catalog
@@ -56,6 +57,33 @@ def test_dual_of_reads_the_quadratic_dual_off_the_signs_all_64():
         assert d.top_degree == (3 if even else inf)
         odd = all(cm.s[i][i] == -1 for i in range(3))
         assert uab.top_degree == (3 if odd else inf)
+
+
+def test_dual_of_keeps_one_object_per_sign_matrix():
+    """dual_of returns the one object the process keeps for each sign
+    matrix, whatever the brackets: on every one of the 64, 64 objects, each
+    the dual of an abelian and of a random bracket table alike, and one for
+    row 10 at two mu over Q and generic over Q(t).  SignAlgebra(n, J, Q)
+    builds a private object each time, equal to the shared one, which stays
+    the one dual_of returns.  The shared object's top degree is derived
+    from J and cannot be set."""
+    rng = random.Random(28)
+    shared = []
+    for cm in all_sign_matrices():
+        d = dual_of(ColorLieAlgebra(cm, {}))
+        assert dual_of(random_compatible_algebra(cm, rng)) is d
+        private = SignAlgebra(d.n, d.square_zero, d.commuting)
+        assert private == d and private is not d
+        assert SignAlgebra(d.n, d.square_zero, d.commuting) is not private
+        assert dual_of(ColorLieAlgebra(cm, {})) is d
+        with pytest.raises(AttributeError):
+            d.top_degree = inf
+        shared.append(d)
+    assert len({id(d) for d in shared}) == 64
+    row10 = [catalog.load(10, mu) for mu in (Fraction(1, 2), Fraction(3),
+                                             None)]
+    assert row10[2].has_parameter() and not row10[0].has_parameter()
+    assert dual_of(row10[0]) is dual_of(row10[1]) is dual_of(row10[2])
 
 
 def test_degree_record_is_empty_past_the_top_degree():

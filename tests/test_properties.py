@@ -11,7 +11,8 @@ elimination never writes to a matrix's columns, each U(g) rule rewrites
 its lead to deg-lex smaller words, a zero differential's Betti numbers
 count the monomial bases, plain literals parse as the grammar parses them,
 on all-even algebras nothing past the exterior dual's top degree is built,
-and rescaling the brackets by a nonzero rational moves no Jacobi triple,
+a shared dual that another algebra has warmed gives what a private one
+gives, and rescaling the brackets by a nonzero rational moves no Jacobi triple,
 overlap verdict, d^2 verdict, Betti number or representative."""
 
 import copy
@@ -41,7 +42,8 @@ from colorlie import catalog  # noqa: E402
 from colorlie.catalog import GENERIC  # noqa: E402
 from colorlie.cohomology import (betti_from_differential,  # noqa: E402
                                  representatives_from_differential)
-from colorlie.differential import (check_d_squared,  # noqa: E402
+from colorlie.differential import (Differential,  # noqa: E402
+                                   check_d_squared,
                                    differential_from_brackets)
 from colorlie.dual import SignAlgebra, dual_of  # noqa: E402
 from colorlie.files import parse_algebra_text  # noqa: E402
@@ -381,6 +383,44 @@ def test_zero_differential_betti_numbers_count_the_basis(alg):
     assert d.is_zero()
     assert betti_from_differential(d, 15).h == [
         len(alg.monomial_basis(n)) for n in range(16)]
+
+
+@st.composite
+def same_sign_pairs(draw):
+    """(g, h) on one sign matrix: g grading-compatible or with brackets on
+    every slot, h with brackets on every slot."""
+    g = draw(algebras(RATIONALS | CONSTANTS) | dense_algebras(RATIONALS))
+    n = g.n
+    h = ColorLieAlgebra(g.cm, {(i, j): tuple(draw(RATIONALS)
+                                             for _ in range(n))
+                               for i in range(n) for j in range(i, n)})
+    return g, h
+
+
+@settings(max_examples=30, deadline=None)
+@given(same_sign_pairs())
+def test_a_warmed_shared_dual_gives_what_a_private_one_gives(pair):
+    """g's differential on the shared dual, after h on the same sign matrix
+    has built its degree records and term shapes to degree 15, gives the
+    same d^2 verdict, Betti numbers and representatives as on a private
+    dual algebra that no one else has touched."""
+    g, h = pair
+    warm = differential_from_brackets(h)
+    for n in range(15):
+        warm.matrix(n)
+    d = differential_from_brackets(g)
+    assert d.algebra is warm.algebra
+    alg = d.algebra
+    private = Differential(SignAlgebra(alg.n, alg.square_zero, alg.commuting),
+                           g.brackets)
+
+    def results(e):
+        return (check_d_squared(e, 8), betti_from_differential(e, 12).h,
+                [[str(c.representative) for c in
+                  representatives_from_differential(e, n)]
+                 for n in range(9)])
+
+    assert results(d) == results(private)
 
 
 WORDS = st.lists(st.integers(0, 2), max_size=5).map(tuple)
