@@ -159,6 +159,8 @@ class ColorLieAlgebra:
             if any(vec):
                 self.brackets[(i, j)] = vec
         self.grading = grading
+        # the defects of the first jacobi_defect walk, kept as a tuple
+        self._defects = None
         self._denominator = common_denominator(
             c for vec in self.brackets.values() for c in vec)
         # <e_i, e_j> for every index pair, with <e_j, e_i> = -eps(j, i)
@@ -184,16 +186,20 @@ class ColorLieAlgebra:
         """All basis triples i <= j <= k where the generalized Jacobi cyclic
         sum eps(k,i)<e_i,<e_j,e_k>> + eps(j,k)<e_k,<e_i,e_j>> +
         eps(i,j)<e_j,<e_k,e_i>> is nonzero, as (i, j, k, sum), in
-        combinations_with_replacement order.
+        combinations_with_replacement order, as a fresh list on each call.
 
-        Each call recomputes every sum, walking only the nonzero entries of
-        the bracket table in ascending index order, so every coefficient is
-        accumulated in the same order as a dense walk would.  The walk reads
-        D times the table, D the common denominator of the brackets: a
-        cyclic sum is quadratic in the brackets, so each sum of the rescaled
-        algebra is D^2 times the matching sum, and over Q every product and
-        sum is one of ints.  Each nonzero sum is divided by D^2 back into its
-        canonical value."""
+        The first call walks every sum and keeps the defects; later calls,
+        `validate`'s included, copy the kept ones, since nothing writes to
+        a built algebra's brackets.  The walk visits only the nonzero
+        entries of the bracket table in ascending index order, so every
+        coefficient is accumulated in the same order as a dense walk would.
+        It reads D times the table, D the common denominator of the
+        brackets: a cyclic sum is quadratic in the brackets, so each sum of
+        the rescaled algebra is D^2 times the matching sum, and over Q every
+        product and sum is one of ints.  Each nonzero sum is divided by D^2
+        back into its canonical value."""
+        if self._defects is not None:
+            return list(self._defects)
         s = self.cm.s
         den = self._denominator
         nonzero = [[[(l, times_denominator(x, den))
@@ -216,6 +222,7 @@ class ColorLieAlgebra:
             if any(total):
                 bad.append((i, j, k, tuple(quotient(x, den * den)
                                            for x in total)))
+        self._defects = tuple(bad)
         return bad
 
     def structure_errors(self):
@@ -254,7 +261,7 @@ class ColorLieAlgebra:
 
     def validate(self):
         """The structure errors, then (when there are none) one error per
-        Jacobi defect."""
+        Jacobi defect, read from the one kept `jacobi_defect` walk."""
         errors = self.structure_errors()
         if not errors:
             errors = ["Jacobi defect at (%d, %d, %d)" % (i + 1, j + 1, k + 1)

@@ -9,9 +9,11 @@ the exponent vectors.
 `dual_of` returns one SignAlgebra object per sign algebra for the whole
 process, so everything the algebra builds on first use and keeps, its
 degree records and the sign data of each Koszul term, is built once for
-every algebra g with that sign matrix and every request on it.  That table
-grows only with distinct sign algebras: at most 2^(n(n+1)/2) on n
-generators, 64 for n = 3.  A SignAlgebra(n, J, Q) built directly is a
+every algebra g with that sign matrix and every request on it.  It finds
+that object by a key read off the sign matrix, n and one bit per diagonal
+and upper entry, without building a SignAlgebra, so the table holds at most
+2^(n(n+1)/2) entries on n generators, 64 for n = 3, whatever the entries
+of an unvalidated matrix are.  A SignAlgebra(n, J, Q) built directly is a
 private object with its own records.
 """
 
@@ -180,8 +182,8 @@ def quadratic_dual(a):
                        allpairs - a.commuting)
 
 
-# SignAlgebra -> itself: the one object dual_of returns for each sign
-# algebra in the process (module docstring)
+# (n, bitmask) -> the one object dual_of returns for that sign algebra in
+# the process (module docstring)
 _DUALS = {}
 
 
@@ -194,14 +196,27 @@ def dual_of(g):
 
     Every call with the same dual returns the same object for the whole
     process, with the degree records and term shapes that earlier callers
-    built on it, so it is read-only.  At most one object is kept per sign
-    algebra, 2^(n(n+1)/2) on n generators, each with its records up to
-    the highest degree any caller asked of it."""
+    built on it, so it is read-only.  The object is looked up by the key
+    (n, mask), mask holding one bit per entry s_ij, i <= j, in row order:
+    set where s_kk != -1 (f_k square-zero) or s_ij != +1 (f_i, f_j
+    commute), the two tests that build the dual.  Equal keys give equal
+    duals and distinct keys distinct ones, so at most 2^(n(n+1)/2) objects
+    are kept on n generators, whatever the entries, each with its records
+    up to the highest degree any caller asked of it.  A SignAlgebra is
+    built only for a key not seen before."""
     n, s = g.n, g.cm.s
-    alg = SignAlgebra(n, [k for k in range(n) if s[k][k] != -1],
-                      [(i, j) for i in range(n) for j in range(i + 1, n)
-                       if s[i][j] != 1])
-    return _DUALS.setdefault(alg, alg)
+    mask = 0
+    for i, row in enumerate(s):
+        mask = mask << 1 | (row[i] != -1)
+        for x in row[i + 1:]:
+            mask = mask << 1 | (x != 1)
+    alg = _DUALS.get((n, mask))
+    if alg is None:
+        alg = _DUALS[n, mask] = SignAlgebra(
+            n, [k for k in range(n) if s[k][k] != -1],
+            [(i, j) for i in range(n) for j in range(i + 1, n)
+             if s[i][j] != 1])
+    return alg
 
 
 class DgaElement:

@@ -15,7 +15,6 @@ only on the span, not on the order of elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .scalars import ZERO, Scalar, as_scalar, quotient
@@ -30,18 +29,25 @@ class ExactMatrix:
     of column j, a plain rational or, where t appears, a Scalar.  Its field
     is read off the entries; `data` returns Scalars on either field."""
 
+    __slots__ = ("rows", "cols", "columns", "_pass")
+
     def __init__(self, rows, columns):
         if rows < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.rows = rows
         self.cols = len(columns)
         self.columns = columns
+        self._pass = None
 
-    @cached_property
+    @property
     def pivot_rows(self):
-        """`_pivot_rows` of the columns, run on first use and kept; nothing
-        writes to the matrix, so a caller that adds rows copies it."""
-        return _pivot_rows(self.columns)
+        """`_pivot_rows` of the columns, run on first use and kept in a
+        plain slot; nothing writes to the matrix, so a caller that adds
+        rows copies it."""
+        rows = self._pass
+        if rows is None:
+            rows = self._pass = _pivot_rows(self.columns)
+        return rows
 
     @property
     def field(self):

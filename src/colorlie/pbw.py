@@ -61,8 +61,10 @@ def _find_lead(word, leads):
     return None
 
 
-def reduce_word(element, rels):
-    """Normal form of a word or linear combination w.r.t. the relations.
+def reduce_word(element, rules):
+    """Normal form of a word or linear combination w.r.t. the rewriting
+    rules, a mapping lead -> rhs as `QuadLinRelation` holds them, one rule
+    per lead; `groebner_check` builds it once for all its overlaps.
 
     The pending words sit in a heap keyed by (-length, word), so the next
     one popped is the deg-lex largest.  Each step replaces a leading-monomial
@@ -72,9 +74,6 @@ def reduce_word(element, rels):
     cancelled, or was pushed twice) is skipped.  The normal form lists its
     words in descending deg-lex order.
     """
-    rules = {r.lead: r.rhs for r in rels}
-    if len(rules) != len(rels):
-        raise ValueError("relations must have distinct leading monomials")
     if isinstance(element, tuple):
         element = {element: 1}
     todo = {w: c for w, c in element.items() if c}
@@ -99,7 +98,9 @@ def reduce_word(element, rels):
 
 def groebner_check(rels):
     """Diamond Lemma: reduce every s-polynomial of a length-3 overlap of
-    leading monomials; returns (all_zero, failing overlap words).
+    leading monomials; returns (all_zero, failing overlap words).  The
+    rules lead -> rhs are indexed once, for every overlap; ValueError when
+    two relations share a lead.
 
     Leads have coefficient 1, so for leads (a, b) -> rhs1 and (b, c) -> rhs2
     the two reductions of the word abc differ by a*rhs2 - rhs1*c.
@@ -110,21 +111,23 @@ def groebner_check(rels):
     D^(2 - |w|), which over Q leaves only ints.  v_i -> D v_i maps U(g_D)
     onto U(g), and each overlap's s-polynomial to D^3 times the image of
     g's s-polynomial, so exactly the same overlaps fail."""
-    den = common_denominator(c for r in rels for c in r.rhs.values())
+    rules = {r.lead: r.rhs for r in rels}
+    if len(rules) != len(rels):
+        raise ValueError("relations must have distinct leading monomials")
+    den = common_denominator(c for rhs in rules.values() for c in rhs.values())
     if den != 1:
-        rels = [QuadLinRelation(r.lead, {
+        rules = {lead: {
             w: c if len(w) == 2 else times_denominator(c, den ** (2 - len(w)))
-            for w, c in r.rhs.items()}) for r in rels]
-    by_lead = {r.lead: r for r in rels}
+            for w, c in rhs.items()} for lead, rhs in rules.items()}
     failures = []
-    for (a, b), r1 in by_lead.items():
-        for (b2, c), r2 in by_lead.items():
+    for (a, b), rhs1 in rules.items():
+        for (b2, c), rhs2 in rules.items():
             if b2 != b:
                 continue
-            s = {(a,) + w: coef for w, coef in r2.rhs.items()}
-            for w, coef in r1.rhs.items():
+            s = {(a,) + w: coef for w, coef in rhs2.items()}
+            for w, coef in rhs1.items():
                 accumulate(s, w + (c,), -coef)
-            if reduce_word(s, rels):
+            if reduce_word(s, rules):
                 failures.append((a, b, c))
     return not failures, failures
 

@@ -71,6 +71,40 @@ def test_jacobi_defect_mutant():
     assert not mutant.validate().ok
 
 
+def test_jacobi_defect_keeps_one_walk_and_hands_out_fresh_lists():
+    """The defects of the first walk are kept: each call returns an equal
+    but distinct list, a caller's write to one reaches no later call, and
+    validate() names every defect from the same walk, on a grading-valid
+    algebra with three defects.  On the Jacobi mutant, whose validate()
+    stops at its grading errors, the kept sums still agree with the dense
+    oracle."""
+    cm = CommutationMatrix(((1, 1, 1), (1, -1, -1), (1, -1, 1)))
+    brackets = {(0, 1): (0, 1, 0), (0, 2): (0, 0, 3),
+                (1, 1): (Fraction(-1, 2), 0, 0)}
+    g = ColorLieAlgebra(cm, brackets)
+    first = g.jacobi_defect()
+    second = g.jacobi_defect()
+    assert first == second and first is not second
+    assert [t[:3] for t in first] == [(0, 1, 1), (1, 1, 1), (1, 1, 2)]
+    expected = list(first)
+    first.clear()
+    second.append(second[0])
+    assert g.jacobi_defect() == expected
+    assert g.validate().errors == ["Jacobi defect at (1, 2, 2)",
+                                   "Jacobi defect at (2, 2, 2)",
+                                   "Jacobi defect at (2, 2, 3)"]
+    assert g.jacobi_defect() == expected
+    assert defect_values(g) == jacobi_oracle(g)
+
+    row3 = catalog.load(3)
+    brackets = dict(row3.brackets)
+    brackets[(1, 2)] = (ZERO, ONE, ZERO)
+    mutant = ColorLieAlgebra(row3.cm, brackets)
+    assert not mutant.validate().ok
+    assert mutant.jacobi_defect() != []
+    assert defect_values(mutant) == jacobi_oracle(mutant)
+
+
 def test_jacobi_defect_sums_match_fraction_oracle():
     # dense brackets that ignore the grading, over every catalog sign matrix
     rng = random.Random(20261018)

@@ -7,9 +7,10 @@ import pytest
 from basis_oracle import unpack_key
 from conftest import (abelian_enveloping, all_sign_matrices,
                       random_compatible_algebra)
+from hypothesis import given, settings, strategies as st
 from letterwise import multiply, product, signs_of
 
-from colorlie import catalog
+from colorlie import catalog, dual
 from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.dual import (KEY_BITS, DgaElement, SignAlgebra, dual_of,
                            monomial_str, quadratic_dual)
@@ -84,6 +85,35 @@ def test_dual_of_keeps_one_object_per_sign_matrix():
                                              None)]
     assert row10[2].has_parameter() and not row10[0].has_parameter()
     assert dual_of(row10[0]) is dual_of(row10[1]) is dual_of(row10[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((-2, -1, 0, 1, 2)), min_size=3,
+                         max_size=3), min_size=3, max_size=3))
+def test_dual_of_keeps_its_bound_on_unvalidated_sign_matrices(signs):
+    """The constructor takes entries such as 0 or 2 and asymmetric
+    matrices, which only validate() rejects.  On each, dual_of still reads
+    J = {k : s_kk != -1} and Q = {(i, j) : i < j, s_ij != +1}, and returns
+    the shared object of the symmetric sign matrix with that dual, so the
+    table keeps at most 64 duals on three generators and the 64 shared
+    objects stay the same ones."""
+    shared = {cm: dual_of(ColorLieAlgebra(cm, {}))
+              for cm in all_sign_matrices()}
+    cm = CommutationMatrix(signs)
+    d = dual_of(ColorLieAlgebra(cm, {}))
+    s = cm.s
+    assert d == SignAlgebra(3, [k for k in range(3) if s[k][k] != -1],
+                            [(i, j) for i in range(3)
+                             for j in range(i + 1, 3) if s[i][j] != 1])
+    # the diagonal -1 where s_kk = -1, the off-diagonal +1 where the upper
+    # entry s_ij = +1, every other entry the other sign
+    like = [[(-1 if s[i][i] == -1 else 1) if i == j else
+             (1 if s[min(i, j)][max(i, j)] == 1 else -1)
+             for j in range(3)] for i in range(3)]
+    assert d is shared[CommutationMatrix(like)]
+    assert dual_of(ColorLieAlgebra(cm, {})) is d
+    assert all(dual_of(ColorLieAlgebra(c, {})) is shared[c] for c in shared)
+    assert sum(1 for alg in dual._DUALS.values() if alg.n == 3) <= 64
 
 
 def test_degree_record_is_empty_past_the_top_degree():

@@ -77,27 +77,33 @@ def test_deglex_order():
     assert deglex_key((2, 0, 1)) > deglex_key((1,))
 
 
+def rules_of(rels):
+    """The mapping lead -> rhs that reduce_word takes."""
+    return {r.lead: r.rhs for r in rels}
+
+
 def test_reduce_single_step():
-    rels = uea_relations(catalog.load(5))
+    rules = rules_of(uea_relations(catalog.load(5)))
     # v1 v2 -> -v2 v1 + v3
-    nf = reduce_word((0, 1), rels)
+    nf = reduce_word((0, 1), rules)
     assert nf == {(1, 0): -ONE, (2,): ONE}
 
 
 def test_reduce_no_relations():
-    assert reduce_word((0, 1), []) == {(0, 1): ONE}
+    assert reduce_word((0, 1), {}) == {(0, 1): ONE}
+    assert reduce_word({(2, 0): 3, (1,): -1}, {}) == {(2, 0): 3, (1,): -1}
 
 
 def test_reduce_case7_square():
-    rels = uea_relations(catalog.load(7))
-    assert reduce_word((2, 2), rels) == {(0,): HALF}
+    rules = rules_of(uea_relations(catalog.load(7)))
+    assert reduce_word((2, 2), rules) == {(0,): HALF}
 
 
 def test_reduce_idempotent():
-    rels = uea_relations(catalog.load(3))
+    rules = rules_of(uea_relations(catalog.load(3)))
     for word in [(0, 1, 2), (2, 1, 0), (1, 1, 2, 0), (0, 0, 1)]:
-        once = reduce_word(word, rels)
-        assert reduce_word(once, rels) == once
+        once = reduce_word(word, rules)
+        assert reduce_word(once, rules) == once
 
 
 def test_groebner_catalog_passes():
@@ -109,6 +115,19 @@ def test_groebner_catalog_passes():
 
 def test_groebner_empty():
     assert groebner_check([]) == (True, [])
+
+
+@pytest.mark.parametrize("leads", [
+    [(0, 1), (1, 2), (0, 1)],
+    [(0, 1), (0, 1)],
+], ids=["with-overlap", "without-overlap"])
+def test_groebner_rejects_a_duplicated_lead(leads):
+    """Two rules for one lead are refused with the distinct-leads
+    ValueError, whether or not an overlap would reach the duplicate."""
+    rels = [QuadLinRelation(lead, {(lead[1], lead[0]): -1}) for lead in leads]
+    with pytest.raises(ValueError,
+                       match="relations must have distinct leading monomials"):
+        groebner_check(rels)
 
 
 def test_groebner_fails_on_jacobi_mutant():
