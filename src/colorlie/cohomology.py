@@ -82,18 +82,33 @@ def representatives(g, n):
 
 
 def representatives_from_differential(d, n):
-    # nothing past the top degree; else echelon rows of B^n, then (a copy)
-    # of B^n plus each class so far
+    """The classes of degree n: each vector of the reduced-echelon kernel
+    basis of d_n = d.matrix(n), in order, reduced by the echelon rows of
+    B^n and of the classes before it; a nonzero residue is a class.  Empty
+    past the top degree.
+
+    Two steps are skipped where their result is known, so the classes are
+    the same.  Where d_n has no nonzero column, as d_0 never has, its
+    kernel is the whole space, and the reduced-echelon basis of that is the
+    unit vectors in column order, which `rank_kernel` would return.  A
+    kernel vector that has no entry on a pivot of the rows is its own
+    residue (`residue` subtracts no row and copies it), and its entries are
+    already canonical, so it is used as it is; `insert` and the class copy
+    it."""
     if n > d.algebra.top_degree:
         return []
     basis, rows = _boundaries(d, n)
     if not basis:
         return []
+    m = d.matrix(n).matrix
+    if any(m.columns):
+        kernel = rank_kernel(m)[1]
+    else:
+        kernel = [{c: 1} for c in range(m.cols)]
     rows = dict(rows)
-    _, kernel = rank_kernel(d.matrix(n).matrix)
     out = []
     for kv in kernel:
-        r = residue(kv, rows)
+        r = kv if rows.keys().isdisjoint(kv) else residue(kv, rows)
         if r:
             out.append(CohomologyClass(n, _element(d.algebra, r, basis)))
             insert(rows, r)

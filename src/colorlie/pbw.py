@@ -54,25 +54,20 @@ def uea_relations(g):
     return rels
 
 
-def _find_lead(word, leads):
-    for p in range(len(word) - 1):
-        if word[p:p + 2] in leads:
-            return p
-    return None
-
-
 def reduce_word(element, rules):
     """Normal form of a word or linear combination w.r.t. the rewriting
     rules, a mapping lead -> rhs as `QuadLinRelation` holds them, one rule
     per lead; `groebner_check` builds it once for all its overlaps.
 
-    The pending words sit in a heap keyed by (-length, word), so the next
-    one popped is the deg-lex largest.  Each step replaces a leading-monomial
-    factor by strictly smaller terms in the degree-lex order, so the loop
+    The pending words sit in a dict word -> coefficient and in a heap keyed
+    by (-length, word), so the next one popped is the deg-lex largest.  Each
+    step rewrites the leftmost lead of the popped word by its rhs, which
+    gives strictly smaller words in the degree-lex order, so the loop
     terminates, words are processed largest first, and a processed word
-    never comes back.  A popped word that is no longer pending (it
-    cancelled, or was pushed twice) is skipped.  The normal form lists its
-    words in descending deg-lex order.
+    never comes back.  A word enters the heap when it enters the dict; one
+    that cancels stays in the heap and is skipped when popped, and if it
+    comes back it is pushed again.  A word without a lead is normal, so the
+    normal form lists its words in descending deg-lex order.
     """
     if isinstance(element, tuple):
         element = {element: 1}
@@ -80,27 +75,46 @@ def reduce_word(element, rules):
     heap = [(-len(w), w) for w in todo]
     heapify(heap)
     normal = {}
+    pop = todo.pop
+    rhs_of = rules.get
     while heap:
         w = heappop(heap)[1]
-        c = todo.pop(w, None)
+        c = pop(w, None)
         if c is None:
             continue
-        p = _find_lead(w, rules)
-        if p is None:
+        for p in range(len(w) - 1):
+            rhs = rhs_of(w[p:p + 2])
+            if rhs is not None:
+                break
+        else:
             normal[w] = c
             continue
-        for piece, pc in rules[w[p:p + 2]].items():
-            v = w[:p] + piece + w[p + 2:]
-            accumulate(todo, v, c * pc)
-            heappush(heap, (-len(v), v))
+        head, tail = w[:p], w[p + 2:]
+        for piece, pc in rhs.items():
+            v = head + piece + tail
+            y = todo.get(v)
+            if y is None:
+                y = c * pc
+                if y:
+                    todo[v] = y
+                    heappush(heap, (-len(v), v))
+            else:
+                y += c * pc
+                if y:
+                    todo[v] = y
+                else:
+                    del todo[v]
     return normal
 
 
 def groebner_check(rels):
     """Diamond Lemma: reduce every s-polynomial of a length-3 overlap of
     leading monomials; returns (all_zero, failing overlap words).  The
-    rules lead -> rhs are indexed once, for every overlap; ValueError when
-    two relations share a lead.
+    rules lead -> rhs are indexed once, for every overlap, and by their
+    first letter, so that the rules (b, c) overlapping a lead (a, b) are
+    found without a scan of every pair; the overlaps are taken in the
+    order of the pairs of rules, so the failures keep that order.
+    ValueError when two relations share a lead.
 
     Leads have coefficient 1, so for leads (a, b) -> rhs1 and (b, c) -> rhs2
     the two reductions of the word abc differ by a*rhs2 - rhs1*c.
@@ -119,11 +133,12 @@ def groebner_check(rels):
         rules = {lead: {
             w: c if len(w) == 2 else times_denominator(c, den ** (2 - len(w)))
             for w, c in rhs.items()} for lead, rhs in rules.items()}
+    by_first = {}
+    for (b, c), rhs in rules.items():
+        by_first.setdefault(b, []).append((c, rhs))
     failures = []
     for (a, b), rhs1 in rules.items():
-        for (b2, c), rhs2 in rules.items():
-            if b2 != b:
-                continue
+        for c, rhs2 in by_first.get(b, ()):
             s = {(a,) + w: coef for w, coef in rhs2.items()}
             for w, coef in rhs1.items():
                 accumulate(s, w + (c,), -coef)

@@ -292,7 +292,10 @@ def plain_rational(q):
 def exact(x):
     """x as the engine holds it (the one coercion): a Scalar when x depends
     on t, else an int when integral and a Fraction otherwise; TypeError for
-    anything but an int, Fraction or Scalar."""
+    anything but an int, Fraction or Scalar.  An int, the common case,
+    returns before the type tests."""
+    if type(x) is int:
+        return x
     if isinstance(x, Scalar):
         if x.depends_on_param():
             return x

@@ -100,30 +100,42 @@ def _berlekamp_massey(seq):
     integer coefficients and C(0) != 0, its length L, the last index with a
     nonzero discrepancy).
 
-    Each update C <- b C - delta x^m B keeps C integral, where b is the
-    discrepancy B had when it was C; C is then divided by the gcd of its
-    coefficients.  Every C is a nonzero multiple of the one over Q with
-    C(0) = 1, so L and the discrepancies' zeros are the same."""
+    One loop on ints.  The discrepancy at n is c[0] s_n plus the sum of
+    c[i] s_(n-i) over i = 1..L; C always has at least L + 1 coefficients,
+    since an update to length L' = n + 1 - L extends it to m + len(B) =
+    L' + 1.  Each update C <- b C - delta x^m B, made in place, keeps C
+    integral, where b is the discrepancy B had when it was C; C is then
+    divided by the gcd of its coefficients.  Every C is a nonzero multiple
+    of the one over Q with C(0) = 1, so L and the discrepancies' zeros are
+    the same."""
     c = [1]
     b = [1]
     L = 0
     m = 1
     bden = 1
     last_fit = -1
-    for n in range(len(seq)):
-        delta = sum(ci * seq[n - i] for i, ci in enumerate(c[:L + 1]))
+    for n, sn in enumerate(seq):
+        delta = c[0] * sn
+        for i in range(1, L + 1):
+            delta += c[i] * seq[n - i]
         if delta == 0:
             m += 1
             continue
         last_fit = n
-        old = c
-        c = [bden * x for x in c] + [0] * (m + len(b) - len(c))
-        for i, x in enumerate(b):
-            c[m + i] -= delta * x
+        old = c[:] if 2 * L <= n else None
+        if bden != 1:
+            for i in range(len(c)):
+                c[i] *= bden
+        grow = m + len(b) - len(c)
+        if grow > 0:
+            c += [0] * grow
+        for i, x in enumerate(b, m):
+            c[i] -= delta * x
         g = gcd(*c)
         if g != 1:
-            c = [x // g for x in c]
-        if 2 * L <= n:
+            for i in range(len(c)):
+                c[i] //= g
+        if old is not None:
             L = n + 1 - L
             b = old
             bden = delta

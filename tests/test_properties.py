@@ -3,7 +3,9 @@ Scalar satisfies the field axioms on generated rational functions in t, and
 its arithmetic on rationals agrees with Fraction and returns plain
 rationals; every polynomial coefficient of a Scalar or a RationalSeries is a
 plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
-oracle, and recognition's coprime series equals the reduced one; monomial
+oracle, on exterior-shaped sequences too, and recognition's coprime series
+equals the reduced one; the representatives equal those of the loop that
+skips no kernel or residue step; monomial
 bases and their degree records, PBW normal forms and overlap checks, Jacobi
 sums, the columns of the differential matrices and the Koszul pairing
 agree with their test-only oracles, every matrix entry is canonical,
@@ -28,6 +30,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import basis_oracle  # noqa: E402
 import bm_oracle  # noqa: E402
 import pbw_oracle  # noqa: E402
+import representatives_oracle  # noqa: E402
 from ce_oracle import CEComplex  # noqa: E402
 from conftest import (admissible_slots, assert_canonical,  # noqa: E402
                       assert_engine_values_exact, assert_exact,
@@ -273,9 +276,15 @@ RATIONAL_SEQUENCES = st.builds(
     lambda num, den, n: RationalSeries(num, [1] + den).expand(n),
     st.lists(SMALL_INTS, max_size=5), st.lists(SMALL_INTS, max_size=5),
     st.integers(11, 40))
+# the Betti shape of an exterior dual, which most small algebras have: a
+# polynomial of degree 3 or less, then zeros
+EXTERIOR_SEQUENCES = st.builds(
+    lambda head, n: head + [0] * (n - len(head)),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4), st.integers(12, 41))
 # and integer sequences that are mostly not rational of low order
 INTEGER_SEQUENCES = st.one_of(
     RATIONAL_SEQUENCES,
+    EXTERIOR_SEQUENCES,
     st.lists(st.integers(-9, 9), min_size=12, max_size=41),
     st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=12, max_size=41))
 
@@ -293,7 +302,7 @@ def test_berlekamp_massey_matches_the_fraction_oracle(seq):
 
 
 @settings(deadline=None)
-@given(RATIONAL_SEQUENCES)
+@given(RATIONAL_SEQUENCES | EXTERIOR_SEQUENCES)
 def test_recognize_matches_the_fraction_oracle(seq):
     """The oracle reduces its fit over Q whether or not it can validate;
     on noise of 41 terms that takes seconds, so only rational inputs."""
@@ -539,6 +548,30 @@ def test_elimination_leaves_the_matrix_columns_as_built(g):
         rank_kernel(m)
         representatives_from_differential(d, n)
         assert [c.columns for c in matrices] == built, n
+
+
+# mostly zero coefficients, so that whole degrees of d vanish
+SPARSE = st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras(SPARSE) | algebras(SPARSE | RATIONAL_FUNCTIONS)
+       | CATALOG_ALGEBRAS)
+def test_representatives_match_the_unskipped_loop(g):
+    """Through degree 6 the same classes, coefficient by coefficient and in
+    the same order, as the loop that always takes the kernel from
+    rank_kernel and always reduces by residue: on algebras with zero
+    differential degrees (d_0 always, every degree of an abelian one) and
+    over Q(t), there through degree 4, since eliminating deeper degrees
+    over Q(t) can swell."""
+    d = differential_from_brackets(g)
+    for n in range(5 if g.has_parameter() else 7):
+        got = representatives_from_differential(d, n)
+        want = representatives_oracle.representatives(d, n)
+        assert [(c.degree, list(c.representative.coeffs.items()))
+                for c in got] == \
+            [(c.degree, list(c.representative.coeffs.items()))
+             for c in want], n
 
 
 def _assert_columns_match_letterwise(g):
