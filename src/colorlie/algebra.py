@@ -110,24 +110,6 @@ class GradingAssignment:
         return tuple(a ^ b for a, b in zip(self.degrees[i], self.degrees[j]))
 
 
-def find_grading(cm, brackets=None):
-    """A Z_2^m grading realizing the sign matrix and, when structure
-    constants are given, the additivity deg_k = deg_i + deg_j on every
-    occupied slot.  Degrees live in F_2^n modulo the additivity relations:
-    each pivot generator is expressed through the free ones.  Returns None
-    when no certifying bilinear form exists."""
-    echelon = _gf2_echelon(1 << i ^ 1 << j ^ 1 << k
-                           for (i, j), vec in (brackets or {}).items()
-                           for k, c in enumerate(vec) if c)
-    free = [i for i in range(cm.n) if i not in echelon]
-    ga = GradingAssignment(
-        tuple(echelon[i] >> f & 1 if i in echelon else int(i == f) for f in free)
-        for i in range(cm.n))
-    if ga.find_form(cm) is None:
-        return None
-    return ga
-
-
 class ValidationReport:
     def __init__(self, errors):
         self.errors = errors

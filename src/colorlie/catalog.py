@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ColorLieAlgebra, CommutationMatrix, find_grading
+from .algebra import ColorLieAlgebra, CommutationMatrix
 from .files import GENERIC
 from .scalars import T
 from .series import RationalSeries
@@ -87,9 +87,7 @@ def load(table1_id, mu=None):
     e = _ENTRIES[table1_id]
     if not e.parameterized and mu is not None:
         raise ValueError("entry %d takes no parameter" % table1_id)
-    cm = CommutationMatrix(e.signs)
-    g = ColorLieAlgebra(cm, dict(e.brackets),
-                        grading=find_grading(cm, e.brackets))
+    g = ColorLieAlgebra(CommutationMatrix(e.signs), dict(e.brackets))
     if e.parameterized and mu is not None and mu != GENERIC:
         mu = Fraction(mu)
         if mu == 0:
@@ -116,8 +114,10 @@ _ABELIAN_PATTERNS = [
 
 
 def abelian_family():
-    """Validated abelian algebras covering all 8 diagonal sign patterns;
-    q = number of -1 diagonal entries."""
+    """Abelian algebras covering all 8 diagonal sign patterns, as (g, q)
+    with q = number of -1 diagonal entries.  They are not validated: with
+    no brackets only the sign matrix could fail, and each is symmetric by
+    construction."""
     out = []
     for diag, (s12, s13, s23) in _ABELIAN_PATTERNS:
         signs = (
@@ -125,10 +125,8 @@ def abelian_family():
             (s12, diag[1], s23),
             (s13, s23, diag[2]),
         )
-        cm = CommutationMatrix(signs)
-        g = ColorLieAlgebra(cm, {}, grading=find_grading(cm))
         q = sum(1 for d in diag if d == -1)
-        out.append((g, q))
+        out.append((ColorLieAlgebra(CommutationMatrix(signs), {}), q))
     return out
 
 

@@ -231,9 +231,6 @@ class DgaElement:
             if c:
                 self.coeffs[tuple(mono)] = exact(c)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __eq__(self, other):
         return (isinstance(other, DgaElement) and self.algebra == other.algebra
                 and self.coeffs == other.coeffs)

@@ -55,9 +55,9 @@ def uea_relations(g):
 
 
 def reduce_word(element, rules):
-    """Normal form of a word or linear combination w.r.t. the rewriting
-    rules, a mapping lead -> rhs as `QuadLinRelation` holds them, one rule
-    per lead; `groebner_check` builds it once for all its overlaps.
+    """Normal form of a linear combination {word: coefficient} w.r.t. the
+    rewriting rules, a mapping lead -> rhs as `QuadLinRelation` holds them,
+    one rule per lead; `groebner_check` builds it once for all its overlaps.
 
     The pending words sit in a dict word -> coefficient and in a heap keyed
     by (-length, word), so the next one popped is the deg-lex largest.  Each
@@ -69,8 +69,6 @@ def reduce_word(element, rules):
     comes back it is pushed again.  A word without a lead is normal, so the
     normal form lists its words in descending deg-lex order.
     """
-    if isinstance(element, tuple):
-        element = {element: 1}
     todo = {w: c for w, c in element.items() if c}
     heap = [(-len(w), w) for w in todo]
     heapify(heap)

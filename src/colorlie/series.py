@@ -163,10 +163,11 @@ def recognize(seq):
     # r >= 0, so a fit this late cannot validate at any order
     if nmax - last_fit < VALIDATION_MARGIN:
         return None
-    # numerator: (C * S) truncated below the LFSR length
+    # numerator: (C * S) truncated below the LFSR length, whose coefficient
+    # k < L reads only s_0..s_k, so S is cut to L terms first
     s = ptrim(seq)
     # a recurrence of order 0 means the sequence itself is the polynomial
-    num = ptrim(pmul(c, s)[:L]) if L else s
+    num = ptrim(pmul(c, s[:L])[:L]) if L else s
     # C S = num mod z^(N+1), so num and C are coprime: dividing both by a
     # common factor g (g(0) != 0, as C(0) != 0) would give a shorter LFSR
     rs = RationalSeries(num, c, _coprime=True)

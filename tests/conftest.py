@@ -1,5 +1,7 @@
-"""Shared helpers: random grading-compatible structure constants, span
-comparisons, d on elements, cup products and the algebra file writer."""
+"""Shared helpers: random grading-compatible structure constants, the Z_2^m
+grading that a sign matrix and brackets force (the data files' grading
+lines), span comparisons, d on elements, cup products and the algebra file
+writer."""
 
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ import pytest
 from letterwise import multiply
 
 from colorlie import catalog
-from colorlie.algebra import ColorLieAlgebra, CommutationMatrix, find_grading
+from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,
+                              GradingAssignment, _gf2_echelon)
 from colorlie.cohomology import (CohomologyClass, betti_from_differential,
                                  representatives_from_differential)
 from colorlie.differential import (Differential, check_d_squared,
@@ -41,6 +44,24 @@ def admissible_slots(cm):
                 if rows[k] == prod:
                     slots.append((i, j, k))
     return slots
+
+
+def find_grading(cm, brackets=None):
+    """A Z_2^m grading realizing the sign matrix and, when structure
+    constants are given, the additivity deg_k = deg_i + deg_j on every
+    occupied slot.  Degrees live in F_2^n modulo the additivity relations:
+    each pivot generator is expressed through the free ones.  Returns None
+    when no certifying bilinear form exists."""
+    echelon = _gf2_echelon(1 << i ^ 1 << j ^ 1 << k
+                           for (i, j), vec in (brackets or {}).items()
+                           for k, c in enumerate(vec) if c)
+    free = [i for i in range(cm.n) if i not in echelon]
+    ga = GradingAssignment(
+        tuple(echelon[i] >> f & 1 if i in echelon else int(i == f) for f in free)
+        for i in range(cm.n))
+    if ga.find_form(cm) is None:
+        return None
+    return ga
 
 
 def random_compatible_algebra(cm, rng):

@@ -20,11 +20,9 @@ def _find_lead(word, leads):
 
 
 def reduce_word(element, rels):
-    """Normal form of a word or linear combination, as a dict in the order
-    its words were reached."""
+    """Normal form of a linear combination {word: coefficient}, as a dict
+    in the order its words were reached."""
     rules = {r.lead: r.rhs for r in rels}
-    if isinstance(element, tuple):
-        element = {element: 1}
     todo = {w: c for w, c in element.items() if c}
     normal = {}
     while todo:

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 from conftest import (assert_engine_values_exact, assert_exact,
-                      serialize_algebra)
+                      find_grading, serialize_algebra)
 
 from colorlie import catalog
-from colorlie.algebra import CommutationMatrix
+from colorlie.algebra import ColorLieAlgebra, CommutationMatrix
 from colorlie.differential import check_d_squared, differential_from_brackets
 from colorlie.files import parse_algebra_file, parse_algebra_text
 from colorlie.pbw import groebner_check, uea_relations
@@ -138,7 +138,9 @@ def test_round_trip_generic_parameter():
 def test_shipped_data_files_match_catalog():
     """data/algebras/ holds exactly the 15 catalog entries and the 8
     abelian family members, each parsing back to its algebra and byte for
-    byte its serialized form (parameterized entries keep the symbol t)."""
+    byte its serialized form (parameterized entries keep the symbol t),
+    grading lines included: each file declares the grading `find_grading`
+    derives from the row's sign matrix and brackets."""
     root = Path(__file__).resolve().parent.parent / "data" / "algebras"
     expected = {"case%02d.txt" % i: catalog.load(i) for i in catalog.ALL_IDS}
     for k, (g, q) in enumerate(catalog.abelian_family(), start=1):
@@ -148,8 +150,10 @@ def test_shipped_data_files_match_catalog():
     for name, ref in expected.items():
         g, _ = parse_algebra_file(str(root / name))
         assert g.cm == ref.cm and g.brackets == ref.brackets, name
+        graded = ColorLieAlgebra(ref.cm, ref.brackets,
+                                 grading=find_grading(ref.cm, ref.brackets))
         assert (root / name).read_bytes() == \
-            serialize_algebra(ref).encode("utf-8"), name
+            serialize_algebra(graded).encode("utf-8"), name
 
 
 @pytest.mark.parametrize("row", catalog.ALL_IDS)

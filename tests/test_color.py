@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import find_grading
 from jacobi_oracle import defect_values, jacobi_oracle
 
 from colorlie import catalog
 from colorlie.algebra import (ColorLieAlgebra, CommutationMatrix,
-                              GradingAssignment, find_grading)
+                              GradingAssignment)
 from colorlie.scalars import ONE, Scalar, ZERO
 
 HEISENBERG_SIGNS = ((1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -200,9 +201,23 @@ def test_find_form_matches_exhaustive_search():
 
 
 def test_find_grading_matches_all_catalog_matrices():
+    """Every catalog row, at each parameter sample and generic, and every
+    abelian family member carries no grading, yet has a Z_2^m grading that
+    its sign matrix and its brackets force, and the algebra carrying that
+    grading has no structure error."""
+    algebras = [g for g, _ in catalog.abelian_family()]
     for i in catalog.ALL_IDS:
-        cm = CommutationMatrix(catalog.entry(i).signs)
-        assert find_grading(cm).is_compatible(cm)
+        mus = catalog.parameter_samples(i)
+        if catalog.entry(i).parameterized:
+            mus = list(dict.fromkeys(mus + [catalog.GENERIC]))
+        algebras += [catalog.load(i, catalog.engine_parameter(mu))
+                     for mu in mus]
+    for g in algebras:
+        assert g.grading is None
+        grading = find_grading(g.cm, g.brackets)
+        assert grading is not None, g.cm
+        graded = ColorLieAlgebra(g.cm, g.brackets, grading=grading)
+        assert graded.structure_errors() == [], g.cm
 
 
 def test_grading_check_invariant_under_permutation():

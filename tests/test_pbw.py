@@ -85,24 +85,24 @@ def rules_of(rels):
 def test_reduce_single_step():
     rules = rules_of(uea_relations(catalog.load(5)))
     # v1 v2 -> -v2 v1 + v3
-    nf = reduce_word((0, 1), rules)
+    nf = reduce_word({(0, 1): 1}, rules)
     assert nf == {(1, 0): -ONE, (2,): ONE}
 
 
 def test_reduce_no_relations():
-    assert reduce_word((0, 1), {}) == {(0, 1): ONE}
+    assert reduce_word({(0, 1): 1}, {}) == {(0, 1): ONE}
     assert reduce_word({(2, 0): 3, (1,): -1}, {}) == {(2, 0): 3, (1,): -1}
 
 
 def test_reduce_case7_square():
     rules = rules_of(uea_relations(catalog.load(7)))
-    assert reduce_word((2, 2), rules) == {(0,): HALF}
+    assert reduce_word({(2, 2): 1}, rules) == {(0,): HALF}
 
 
 def test_reduce_idempotent():
     rules = rules_of(uea_relations(catalog.load(3)))
     for word in [(0, 1, 2), (2, 1, 0), (1, 1, 2, 0), (0, 0, 1)]:
-        once = reduce_word(word, rules)
+        once = reduce_word({word: 1}, rules)
         assert reduce_word(once, rules) == once
 
 
