@@ -60,18 +60,23 @@ def betti_from_differential(d, nmax):
 
 
 def _element(algebra, vec, basis):
-    return DgaElement(algebra, {basis[i]: c for i, c in vec.items()})
+    """The element with coefficient c on basis[i] for each entry i -> c of
+    vec, a residue or kernel vector: its entries are nonzero and canonical,
+    so the new dict is handed to the element as it is."""
+    return DgaElement(algebra, {basis[i]: c for i, c in vec.items()},
+                      _canonical=True)
 
 
 def _boundaries(d, n):
-    """The degree-n monomial basis and the echelon rows of B^n over it, both
-    read off d.matrix(n - 1): its row basis is d.matrix(n)'s column basis,
-    the list that kernel vectors index, and the rows, which callers only
-    read, are its kept forward pass, unreduced, as `residue` allows."""
+    """The degree-n monomial basis, the echelon rows of B^n over it and
+    d.matrix(n - 1), which both are read off (None at n = 0, where B^0 =
+    0): its row basis is d.matrix(n)'s column basis, the list that kernel
+    vectors index, and the rows, which callers only read, are its kept
+    forward pass, unreduced, as `residue` allows."""
     if n == 0:
-        return d.matrix(0).col_basis, {}
+        return d.matrix(0).col_basis, {}, None
     dm = d.matrix(n - 1)
-    return dm.row_basis, dm.matrix.pivot_rows
+    return dm.row_basis, dm.matrix.pivot_rows, dm
 
 
 def representatives(g, n):
@@ -87,20 +92,38 @@ def representatives_from_differential(d, n):
     B^n and of the classes before it; a nonzero residue is a class.  Empty
     past the top degree.
 
-    Two steps are skipped where their result is known, so the classes are
-    the same.  Where d_n has no nonzero column, as d_0 never has, its
-    kernel is the whole space, and the reduced-echelon basis of that is the
-    unit vectors in column order, which `rank_kernel` would return.  A
-    kernel vector that has no entry on a pivot of the rows is its own
-    residue (`residue` subtracts no row and copies it), and its entries are
+    Steps are skipped where their result is known, so the classes are the
+    same.  Where d_n has no nonzero column, as d_0 never has, its kernel
+    is the whole space, and the reduced-echelon basis of that is the unit
+    vectors in column order, which `rank_kernel` would return.  A kernel
+    vector that has no entry on a pivot of the rows is its own residue
+    (`residue` subtracts no row and copies it), and its entries are
     already canonical, so it is used as it is; `insert` and the class copy
-    it."""
+    it.
+
+    Where d_n d_(n-1) = 0, as at n = 0, B^n lies in Z^n: d keeps that
+    verdict per degree (`Differential.square_is_zero`), and finds it here
+    if no `check_d_squared` has.  There the loop finds exactly h_n = dim
+    Z^n - dim B^n classes, cols - rank(d_n) - the number of rows, with
+    rank(d_n) read off the forward pass d_n keeps: the rows and the
+    classes found span B^n plus the classes, each class adds one
+    dimension, and the kernel vectors span Z^n, which contains B^n.  So
+    once h_n classes are found every later residue is 0, and the loop
+    stops; where h_n = 0 it returns [] before any kernel is formed.  Where
+    d^2 != 0 the loop runs to the end, and may find more than h_n."""
     if n > d.algebra.top_degree:
         return []
-    basis, rows = _boundaries(d, n)
+    basis, rows, below = _boundaries(d, n)
     if not basis:
         return []
-    m = d.matrix(n).matrix
+    dn = d.matrix(n)
+    m = dn.matrix
+    # h_n where B^n lies in Z^n, else no cap
+    h = None
+    if below is None or d.square_is_zero(n - 1, below, dn):
+        h = m.cols - len(m.pivot_rows) - len(rows)
+        if not h:
+            return []
     if any(m.columns):
         kernel = rank_kernel(m)[1]
     else:
@@ -111,5 +134,7 @@ def representatives_from_differential(d, n):
         r = kv if rows.keys().isdisjoint(kv) else residue(kv, rows)
         if r:
             out.append(CohomologyClass(n, _element(d.algebra, r, basis)))
+            if len(out) == h:
+                break
             insert(rows, r)
     return out

@@ -126,6 +126,9 @@ class Differential:
             self._terms.append((at, qmask, shift, c, w, u, cap, {1: c}))
         # degree -> DifferentialMatrix; nothing writes to a built matrix
         self._matrices = {}
+        # degree n -> whether matrix(n + 1) . matrix(n) = 0, filled by
+        # square_is_zero
+        self._squares = {}
 
     def is_zero(self):
         """True iff the term table is empty, so every matrix is zero."""
@@ -187,6 +190,19 @@ class Differential:
         self._matrices[n] = DifferentialMatrix(mat, rows, cols)
         return self._matrices[n]
 
+    def square_is_zero(self, n, low, high):
+        """True iff matrix(n + 1) . matrix(n) = 0, given as high and low by
+        a caller that holds both: found on the first call for n and kept,
+        so `check_d_squared` and the representatives, which stop at h_n
+        only where it holds, form each product once.  The product is never
+        stored: each of its columns is dropped once seen, and the first
+        nonzero one ends the test."""
+        verdict = self._squares.get(n)
+        if verdict is None:
+            verdict = self._squares[n] = not any(
+                high.matrix.product_columns(low.matrix))
+        return verdict
+
 
 class DifferentialMatrix:
     def __init__(self, matrix, row_basis, col_basis):
@@ -204,14 +220,14 @@ def differential_from_brackets(g):
 
 
 def check_d_squared(d, nmax):
-    """True iff matrix(n+1) . matrix(n) = 0 for all n <= nmax.  The product
-    is never stored: each of its columns is dropped once seen, and the
-    first nonzero one ends the check.  Past the algebra's top degree every
-    product is zero, so no matrix past it is built."""
+    """True iff matrix(n+1) . matrix(n) = 0 for all n <= nmax, the first
+    degree where it fails ending the check.  Each degree's verdict is kept
+    on d (`Differential.square_is_zero`).  Past the algebra's top degree
+    every product is zero, so no matrix past it is built."""
     prev = d.matrix(0)
     for n in range(min(nmax, d.algebra.top_degree - 1) + 1):
         nxt = d.matrix(n + 1)
-        if any(nxt.matrix.product_columns(prev.matrix)):
+        if not d.square_is_zero(n, prev, nxt):
             return False
         prev = nxt
     return True

@@ -8,13 +8,13 @@ the exponent vectors.
 
 `dual_of` returns one SignAlgebra object per sign algebra for the whole
 process, so everything the algebra builds on first use and keeps, its
-degree records and the sign data of each Koszul term, is built once for
-every algebra g with that sign matrix and every request on it.  It finds
-that object by a key read off the sign matrix, n and one bit per diagonal
-and upper entry, without building a SignAlgebra, so the table holds at most
-2^(n(n+1)/2) entries on n generators, 64 for n = 3, whatever the entries
-of an unvalidated matrix are.  A SignAlgebra(n, J, Q) built directly is a
-private object with its own records.
+degree records, the sign data of each Koszul term and its Hilbert series,
+is built once for every algebra g with that sign matrix and every request
+on it.  It finds that object by a key read off the sign matrix, n and one
+bit per diagonal and upper entry, without building a SignAlgebra, so the
+table holds at most 2^(n(n+1)/2) entries on n generators, 64 for n = 3,
+whatever the entries of an unvalidated matrix are.  A SignAlgebra(n, J, Q)
+built directly is a private object with its own records.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class SignAlgebra:
         # (i, j, k) -> the term shape of c f_i f_j in d f_k, filled by
         # term_shape
         self._shapes = {}
+        # the closed-form Hilbert series, built by hilbert_series
+        self._hilbert = None
 
     @property
     def top_degree(self):
@@ -170,9 +172,14 @@ class SignAlgebra:
         generators contribute (1+z), free ones 1/(1-z); the degree-d
         coefficient equals len(monomial_basis(d)).  This closed form gives
         the Betti numbers of a zero differential (`betti_from_differential`);
-        enumerating the bases is the tests' second route to them.
+        enumerating the bases is the tests' second route to them.  Like
+        the degree records it depends on the algebra alone, so it is built
+        on first use and kept; read-only.
         """
-        return abelian_closed_form(self.n, self.n - len(self.square_zero))
+        if self._hilbert is None:
+            self._hilbert = abelian_closed_form(
+                self.n, self.n - len(self.square_zero))
+        return self._hilbert
 
 
 def quadratic_dual(a):
@@ -195,15 +202,15 @@ def dual_of(g):
     e_j) = +1}.
 
     Every call with the same dual returns the same object for the whole
-    process, with the degree records and term shapes that earlier callers
-    built on it, so it is read-only.  The object is looked up by the key
-    (n, mask), mask holding one bit per entry s_ij, i <= j, in row order:
-    set where s_kk != -1 (f_k square-zero) or s_ij != +1 (f_i, f_j
-    commute), the two tests that build the dual.  Equal keys give equal
-    duals and distinct keys distinct ones, so at most 2^(n(n+1)/2) objects
-    are kept on n generators, whatever the entries, each with its records
-    up to the highest degree any caller asked of it.  A SignAlgebra is
-    built only for a key not seen before."""
+    process, with the degree records, term shapes and Hilbert series that
+    earlier callers built on it, so it is read-only.  The object is looked
+    up by the key (n, mask), mask holding one bit per entry s_ij, i <= j,
+    in row order: set where s_kk != -1 (f_k square-zero) or s_ij != +1
+    (f_i, f_j commute), the two tests that build the dual.  Equal keys
+    give equal duals and distinct keys distinct ones, so at most
+    2^(n(n+1)/2) objects are kept on n generators, whatever the entries,
+    each with its records up to the highest degree any caller asked of
+    it.  A SignAlgebra is built only for a key not seen before."""
     n, s = g.n, g.cm.s
     mask = 0
     for i, row in enumerate(s):
@@ -224,8 +231,13 @@ class DgaElement:
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra, coeffs):
+    def __init__(self, algebra, coeffs, _canonical=False):
+        """_canonical=True promises a fresh dict of tuple -> nonzero
+        coefficient, each as `exact` returns it, and keeps it as it is."""
         self.algebra = algebra
+        if _canonical:
+            self.coeffs = coeffs
+            return
         self.coeffs = {}
         for mono, c in coeffs.items():
             if c:

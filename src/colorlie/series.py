@@ -155,9 +155,28 @@ def recognize(seq):
     Fits a minimal linear recurrence (Berlekamp-Massey) and demands that it
     validated on at least 2r+VALIDATION_MARGIN trailing terms beyond the
     last one used to fit, where r is the order of the reduced recurrence.
+
+    A sequence whose last nonzero term s_m is followed by zeros through
+    s_N, N + 1 >= 2m + 2 + VALIDATION_MARGIN terms in all (m = -1 when
+    every term is 0), returns the polynomial s_0 + ... + s_m z^m without
+    Berlekamp-Massey, which would give the same series.  C = 1 is an LFSR
+    of length m + 1, and none is shorter: if C(0) = 1 and C S = P mod
+    z^(N+1) with deg P < L, then either deg C + m <= N, so C S = P and
+    L > deg(C S) >= m, or L >= deg C > N - m >= m + 1.  Two LFSRs of
+    length L that generate N + 1 >= 2L terms are equal (Massey 1969), so
+    C = 1 is the minimal one, and the fit has length m + 1 and order 0.  A
+    nonzero discrepancy at n >= 2m + 2 would lengthen the LFSR to at least
+    n + 1 - (m + 1) > m + 1, so the last one is at most 2m + 1, and the
+    fit held on N - 2m - 1 >= VALIDATION_MARGIN trailing terms, all that
+    order r = 0 asks.
     """
     if len(seq) < 12:
         raise ValueError("recognition needs at least 12 terms")
+    m = len(seq) - 1
+    while m >= 0 and not seq[m]:
+        m -= 1
+    if len(seq) >= 2 * m + 2 + VALIDATION_MARGIN:
+        return RationalSeries(seq[:m + 1], _coprime=True)
     c, L, last_fit = _berlekamp_massey(seq)
     nmax = len(seq) - 1
     # r >= 0, so a fit this late cannot validate at any order

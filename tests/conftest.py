@@ -46,14 +46,14 @@ def admissible_slots(cm):
     return slots
 
 
-def find_grading(cm, brackets=None):
-    """A Z_2^m grading realizing the sign matrix and, when structure
-    constants are given, the additivity deg_k = deg_i + deg_j on every
-    occupied slot.  Degrees live in F_2^n modulo the additivity relations:
+def find_grading(cm, brackets):
+    """A Z_2^m grading realizing the sign matrix and the additivity
+    deg_k = deg_i + deg_j on every occupied slot of the structure
+    constants.  Degrees live in F_2^n modulo the additivity relations:
     each pivot generator is expressed through the free ones.  Returns None
     when no certifying bilinear form exists."""
     echelon = _gf2_echelon(1 << i ^ 1 << j ^ 1 << k
-                           for (i, j), vec in (brackets or {}).items()
+                           for (i, j), vec in brackets.items()
                            for k, c in enumerate(vec) if c)
     free = [i for i in range(cm.n) if i not in echelon]
     ga = GradingAssignment(

@@ -1,13 +1,16 @@
 """Reference loop for the representative cocycles of one degree, with no
 step skipped.
 
-The engine's `representatives_from_differential` skips two steps where
-their result is known: it takes the unit vectors as the kernel of a d_n
-with no nonzero column, and a kernel vector that touches no pivot of the
-coboundary rows as its own residue.  This module keeps the loop those
-skips shortcut: the kernel always from `rank_kernel`, and every kernel
-vector always through `residue`.  Tests compare the two class by class,
-coefficient by coefficient and in the same order.
+The engine's `representatives_from_differential` skips steps where their
+result is known: it takes the unit vectors as the kernel of a d_n with no
+nonzero column, a kernel vector that touches no pivot of the coboundary
+rows as its own residue, and, where d_n d_(n-1) = 0, stops once it has
+h_n classes.  This module keeps the loop those skips shortcut: the kernel
+always from `rank_kernel`, every kernel vector always through `residue`,
+and no stop before the last kernel vector, so comparing the two also
+checks that the full loop finds no class past the h_n-th where d^2 = 0.
+Tests compare them class by class, coefficient by coefficient and in the
+same order.
 """
 
 from __future__ import annotations

@@ -130,7 +130,9 @@ def test_case3_rescaled_coefficient_stays_valid():
     g = catalog.load(3)
     brackets = dict(g.brackets)
     brackets[(0, 1)] = (ZERO, ZERO, ONE + ONE)
-    scaled = ColorLieAlgebra(g.cm, brackets, grading=g.grading)
+    scaled = ColorLieAlgebra(g.cm, brackets,
+                             grading=find_grading(g.cm, brackets))
+    assert scaled.grading is not None
     assert scaled.jacobi_defect() == []
     assert scaled.validate().ok
 

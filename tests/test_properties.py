@@ -1,21 +1,24 @@
 """Property tests: the algebra file format round-trips generated algebras,
 Scalar satisfies the field axioms on generated rational functions in t, and
 its arithmetic on rationals agrees with Fraction and returns plain
-rationals; every polynomial coefficient of a Scalar or a RationalSeries is a
-plain rational; the fraction-free Berlekamp-Massey agrees with the Fraction
-oracle, on exterior-shaped sequences too, and recognition's coprime series
-equals the reduced one; the representatives equal those of the loop that
-skips no kernel or residue step; monomial
-bases and their degree records, PBW normal forms and overlap checks, Jacobi
-sums, the columns of the differential matrices and the Koszul pairing
-agree with their test-only oracles, every matrix entry is canonical,
-elimination never writes to a matrix's columns, each U(g) rule rewrites
-its lead to deg-lex smaller words, a zero differential's Betti numbers
-count the monomial bases, plain literals parse as the grammar parses them,
-on all-even algebras nothing past the exterior dual's top degree is built,
-a shared dual that another algebra has warmed gives what a private one
-gives, and rescaling the brackets by a nonzero rational moves no Jacobi triple,
-overlap verdict, d^2 verdict, Betti number or representative."""
+rationals; every polynomial coefficient of a Scalar or a RationalSeries is
+a plain rational; the fraction-free Berlekamp-Massey agrees with the
+Fraction oracle, on exterior-shaped sequences too, recognition agrees with
+it on eventually zero sequences on both sides of the bound past which it
+skips Berlekamp-Massey, and recognition's coprime series equals the reduced
+one; the representatives equal those of the loop that skips no kernel or
+residue step and never stops at h_n, on algebras where d^2 != 0 too;
+monomial bases and their degree records, PBW normal forms and overlap
+checks, Jacobi sums, the columns of the differential matrices and the
+Koszul pairing agree with their test-only oracles, every matrix entry is
+canonical, elimination never writes to a matrix's columns, each U(g) rule
+rewrites its lead to deg-lex smaller words, a zero differential's Betti
+numbers count the monomial bases, plain literals parse as the grammar
+parses them, on all-even algebras nothing past the exterior dual's top
+degree is built, a shared dual that another algebra has warmed gives what a
+private one gives, and rescaling the brackets by a nonzero rational moves
+no Jacobi triple, overlap verdict, d^2 verdict, Betti number or
+representative."""
 
 import copy
 from fractions import Fraction
@@ -25,7 +28,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (example, given, settings,  # noqa: E402
+                        strategies as st)
 
 import basis_oracle  # noqa: E402
 import bm_oracle  # noqa: E402
@@ -56,8 +60,8 @@ from colorlie.pbw import groebner_check, reduce_word, uea_relations  # noqa: E40
 from colorlie.scalars import (PONE, T, Scalar, inverse,  # noqa: E402
                               parse_scalar, pgcd, plain_rational, pmul,
                               ptrim)
-from colorlie.series import (RationalSeries, _berlekamp_massey,  # noqa: E402
-                             recognize)
+from colorlie.series import (VALIDATION_MARGIN,  # noqa: E402
+                             RationalSeries, _berlekamp_massey, recognize)
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
@@ -313,6 +317,32 @@ def test_recognize_matches_the_fraction_oracle(seq):
         _assert_plain(rs.den)
 
 
+@st.composite
+def eventually_zero_sequences(draw):
+    """12 to 41 terms whose last nonzero one is at m (m = -1: all zero),
+    with m near the bound 2m + 2 + VALIDATION_MARGIN <= the length, from
+    which on recognize returns the polynomial without Berlekamp-Massey, on
+    either side of it; terms may be negative."""
+    size = draw(st.integers(12, 41))
+    bound = (size - 2 - VALIDATION_MARGIN) // 2  # the largest m it skips
+    m = draw(st.integers(-1, 1) | st.integers(bound - 3, bound + 3))
+    head = draw(st.lists(st.integers(-9, 9), min_size=max(m, 0),
+                         max_size=max(m, 0)))
+    if m >= 0:
+        head.append(draw(st.integers(-9, 9).filter(bool)))
+    return head + [0] * (size - len(head))
+
+
+@example([0] * 12)
+@example([1, 3, 3, 1] + [0] * 37)
+@settings(deadline=None)
+@given(eventually_zero_sequences())
+def test_recognize_of_an_eventually_zero_sequence_matches_the_oracle(seq):
+    """The polynomial recognize returns past the bound, and the fit it
+    makes below it, are the series of Berlekamp-Massey over Q."""
+    assert recognize(seq) == bm_oracle.oracle_recognize(seq)
+
+
 @settings(deadline=None)
 @given(RATIONAL_SEQUENCES)
 def test_recognition_series_is_already_reduced(seq):
@@ -554,18 +584,40 @@ def test_elimination_leaves_the_matrix_columns_as_built(g):
 SPARSE = st.sampled_from((0, 0, 0, 1, -1, Fraction(1, 2)))
 
 
+# Jacobi-valid algebras on which the calibrated sign has d^2 != 0 (the
+# strict xfails of test_differential.py), so that h_n does not count the
+# classes: the superalgebra diag(+1, +1, -1), [e3, e3] = -e1 - e2, has h = 1
+# 2 1 0 0 ... and one class in each degree from 3 on, and classical sl_2,
+# [h, e] = 2e, [h, f] = -2f, [e, f] = h, has h_2 = -1
+SUPERALGEBRA = ColorLieAlgebra(
+    CommutationMatrix(((1, 1, 1), (1, 1, 1), (1, 1, -1))),
+    {(2, 2): (-1, -1, 0)})
+SL2 = ColorLieAlgebra(CommutationMatrix(((1, 1, 1),) * 3), {
+    (0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)})
+
+
+@example(SUPERALGEBRA, False)
+@example(SUPERALGEBRA, True)
+@example(SL2, False)
+@example(SL2, True)
 @settings(max_examples=60, deadline=None)
 @given(algebras(SPARSE) | algebras(SPARSE | RATIONAL_FUNCTIONS)
-       | CATALOG_ALGEBRAS)
-def test_representatives_match_the_unskipped_loop(g):
-    """Through degree 6 the same classes, coefficient by coefficient and in
+       | CATALOG_ALGEBRAS, st.booleans())
+def test_representatives_match_the_unskipped_loop(g, checked):
+    """Through degree 8 the same classes, coefficient by coefficient and in
     the same order, as the loop that always takes the kernel from
-    rank_kernel and always reduces by residue: on algebras with zero
-    differential degrees (d_0 always, every degree of an abelian one) and
+    rank_kernel, always reduces by residue and never stops at h_n: on
+    algebras with zero differential degrees (d_0 always, every degree of an
+    abelian one), on algebras where d^2 != 0, where no stop may happen, and
     over Q(t), there through degree 4, since eliminating deeper degrees
-    over Q(t) can swell."""
+    over Q(t) can swell.  With `checked` check_d_squared runs first, so the
+    representatives read the d^2 verdicts it kept; without it they find
+    their own."""
     d = differential_from_brackets(g)
-    for n in range(5 if g.has_parameter() else 7):
+    top = 4 if g.has_parameter() else 8
+    if checked:
+        check_d_squared(d, top)
+    for n in range(top + 1):
         got = representatives_from_differential(d, n)
         want = representatives_oracle.representatives(d, n)
         assert [(c.degree, list(c.representative.coeffs.items()))
